@@ -16,8 +16,11 @@
 //    timestamp than the oldest pending submission,
 // every event posted by a completion carries the identical (at, origin,
 // seq) merge key it would have had if the work had run inline — so
-// experiment records are byte-identical to TPNR_CRYPTO_ACCEL=0 at any shard
-// and worker count.
+// experiment records are byte-identical to fully inline execution at any
+// shard and worker count. The committed golden records under tests/golden/
+// pin those records; tests/scripts/bench_determinism.sh diffs against them.
+// Driver-context submissions still run inline, and the CryptoService tests
+// compare a deferred token ring against a plain sha256/rsa_verify baseline.
 //
 // Completions must observe two rules: touch only the submitting endpoint's
 // own state, and post events only at `submit time + engine lookahead` or
@@ -74,8 +77,7 @@ class CryptoService {
   CryptoService& operator=(const CryptoService&) = delete;
 
   /// True when a submit_* made right now would be queued for a batched
-  /// flush: the service is enabled and the caller is executing a shard
-  /// event. Driver code (tests, benchmark setup) always runs inline, so
+  /// flush: the caller is executing a shard event. Driver code (tests, benchmark setup) always runs inline, so
   /// direct calls into actor methods keep their synchronous semantics.
   [[nodiscard]] bool deferrable() const;
 

@@ -2,8 +2,9 @@
 // signing and batched verification all have to be bit-for-bit identical to
 // the classic big-integer path they replace. These tests pin that down with
 // randomized equivalence sweeps (512/1024/2048-bit), sign/verify round
-// trips through both paths, corrupted-signature rejection, and the
-// rsa_verify_many / verify-memo interplay.
+// trips checked against BigInt::mod_pow_classic as the oracle,
+// corrupted-signature rejection, and the rsa_verify_many / verify-memo
+// interplay.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -23,21 +24,26 @@ using common::BytesView;
 using common::CryptoError;
 using common::to_bytes;
 
-/// Forces accel().rsa_fast for one scope, restoring the prior config.
-class RsaFastGuard {
- public:
-  explicit RsaFastGuard(bool rsa_fast) : saved_(accel()) {
-    AccelConfig config = saved_;
-    config.rsa_fast = rsa_fast;
-    set_accel(config);
-  }
-  ~RsaFastGuard() { set_accel(saved_); }
-  RsaFastGuard(const RsaFastGuard&) = delete;
-  RsaFastGuard& operator=(const RsaFastGuard&) = delete;
+/// The classic public op, sig^e mod n through the schoolbook ladder, as the
+/// k-byte block a PKCS#1 check compares (empty when sig >= n).
+Bytes classic_public(const RsaPublicKey& pub, BytesView sig) {
+  const BigInt s = BigInt::from_bytes(sig);
+  if (s.compare(pub.n) >= 0) return {};
+  return s.mod_pow_classic(pub.e, pub.n).to_bytes(pub.modulus_bytes());
+}
 
- private:
-  AccelConfig saved_;
-};
+/// The classic full-width private op, block^d mod n, no CRT.
+Bytes classic_private(const RsaPrivateKey& priv, BytesView block) {
+  return BigInt::from_bytes(block)
+      .mod_pow_classic(priv.d, priv.n)
+      .to_bytes((priv.n.bit_length() + 7) / 8);
+}
+
+/// The same key without CRT factors: rsa_sign must take the full-width
+/// exponentiation for it.
+RsaPrivateKey without_factors(const RsaPrivateKey& priv) {
+  return RsaPrivateKey(priv.n, priv.e, priv.d, BigInt(), BigInt());
+}
 
 BigInt random_odd_modulus(std::size_t bits, Drbg& rng) {
   BigInt m;
@@ -104,15 +110,12 @@ TEST(MontgomeryEquivalence, ModPowDispatcherMatchesClassicBothWays) {
   const BigInt m = random_odd_modulus(1024, rng);
   const BigInt base = BigInt::random_below(m, rng);
   const BigInt exp = BigInt::random_bits(1024, rng);
-  const BigInt classic = base.mod_pow_classic(exp, m);
-  {
-    RsaFastGuard fast(true);
-    EXPECT_EQ(base.mod_pow(exp, m).compare(classic), 0);
-  }
-  {
-    RsaFastGuard slow(false);
-    EXPECT_EQ(base.mod_pow(exp, m).compare(classic), 0);
-  }
+  // Odd modulus: mod_pow dispatches to Montgomery.
+  EXPECT_EQ(base.mod_pow(exp, m).compare(base.mod_pow_classic(exp, m)), 0);
+  // Even modulus: mod_pow falls back to the classic ladder.
+  const BigInt even = m + BigInt(1);
+  EXPECT_EQ(base.mod_pow(exp, even).compare(base.mod_pow_classic(exp, even)),
+            0);
 }
 
 // Key generation dominates the suite's runtime; share one keypair per size.
@@ -147,44 +150,35 @@ TEST_F(RsaFastPathTest, SignVerifyRoundTripAcrossSizesAndPaths) {
   for (const RsaKeyPair* key : all_keys()) {
     const Bytes msg = to_bytes("round trip at " +
                                std::to_string(key->pub.modulus_bytes() * 8));
-    Bytes fast_sig;
-    Bytes classic_sig;
-    {
-      RsaFastGuard fast(true);
-      fast_sig = rsa_sign(key->priv, HashKind::kSha256, msg);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, fast_sig));
-    }
-    {
-      RsaFastGuard slow(false);
-      classic_sig = rsa_sign(key->priv, HashKind::kSha256, msg);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, classic_sig));
-    }
-    // CRT signing and classic full-width signing are bit-for-bit identical,
-    // and each path verifies what the other produced.
+    const Bytes fast_sig = rsa_sign(key->priv, HashKind::kSha256, msg);
+    EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, fast_sig));
+    // The classic public op recovers a PKCS#1 v1.5 type-1 block ...
+    const Bytes em = classic_public(key->pub, fast_sig);
+    ASSERT_EQ(em.size(), key->pub.modulus_bytes());
+    EXPECT_EQ(em[0], 0x00);
+    EXPECT_EQ(em[1], 0x01);
+    // ... and the classic full-width private op over that block reproduces
+    // the CRT signature bit for bit, as does rsa_sign on a factorless key.
+    const Bytes classic_sig = classic_private(key->priv, em);
     EXPECT_EQ(fast_sig, classic_sig);
-    {
-      RsaFastGuard fast(true);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, classic_sig));
-    }
-    {
-      RsaFastGuard slow(false);
-      EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, fast_sig));
-    }
+    EXPECT_EQ(fast_sig,
+              rsa_sign(without_factors(key->priv), HashKind::kSha256, msg));
+    EXPECT_TRUE(rsa_verify(key->pub, HashKind::kSha256, msg, classic_sig));
   }
 }
 
 TEST_F(RsaFastPathTest, CrtSignsAreCountedAndClassicSignsAreNot) {
   const Bytes msg = to_bytes("counter attribution");
   {
-    RsaFastGuard fast(true);
-    const std::uint64_t before = counters().crt_signs.load();
+    const std::uint64_t crt_before = counters().crt_signs.load();
+    const std::uint64_t classic_before = counters().classic_signs.load();
     (void)rsa_sign(k1024_->priv, HashKind::kSha256, msg);
-    EXPECT_GT(counters().crt_signs.load(), before);
+    EXPECT_GT(counters().crt_signs.load(), crt_before);
+    EXPECT_EQ(counters().classic_signs.load(), classic_before);
   }
   {
-    RsaFastGuard slow(false);
     const std::uint64_t before = counters().classic_signs.load();
-    (void)rsa_sign(k1024_->priv, HashKind::kSha256, msg);
+    (void)rsa_sign(without_factors(k1024_->priv), HashKind::kSha256, msg);
     EXPECT_GT(counters().classic_signs.load(), before);
   }
 }
@@ -194,18 +188,13 @@ TEST_F(RsaFastPathTest, CorruptedSignaturesRejectedOnBothPaths) {
   for (const RsaKeyPair* key : all_keys()) {
     const Bytes msg = to_bytes("tamper target");
     const Bytes good = rsa_sign(key->priv, HashKind::kSha256, msg);
+    const Bytes em = classic_public(key->pub, good);
     for (int i = 0; i < 4; ++i) {
       Bytes bad = good;
       const std::size_t at = rng.next_u64() % bad.size();
       bad[at] ^= static_cast<std::uint8_t>(1 + (rng.next_u64() % 255));
-      {
-        RsaFastGuard fast(true);
-        EXPECT_FALSE(rsa_verify(key->pub, HashKind::kSha256, msg, bad));
-      }
-      {
-        RsaFastGuard slow(false);
-        EXPECT_FALSE(rsa_verify(key->pub, HashKind::kSha256, msg, bad));
-      }
+      EXPECT_FALSE(rsa_verify(key->pub, HashKind::kSha256, msg, bad));
+      EXPECT_NE(classic_public(key->pub, bad), em);
     }
   }
 }
@@ -249,11 +238,6 @@ TEST_F(RsaFastPathTest, VerifyManyMatchesSingleVerifies) {
 }
 
 TEST_F(RsaFastPathTest, VerifyManyFeedsAndConsultsTheMemo) {
-  AccelConfig config = accel();
-  const AccelConfig saved = config;
-  config.verify_memo = true;
-  set_accel(config);
-
   const Bytes msg = to_bytes("memoized batch item");
   const Bytes sig = rsa_sign(k1024_->priv, HashKind::kSha256, msg);
   const std::vector<RsaVerifyItem> items = {
@@ -266,8 +250,6 @@ TEST_F(RsaFastPathTest, VerifyManyFeedsAndConsultsTheMemo) {
   EXPECT_TRUE(second[0]);
   // The repeat run answers from the memo the first run fed.
   EXPECT_GT(counters().verify_memo_hits.load(), hits_before);
-
-  set_accel(saved);
 }
 
 TEST_F(RsaFastPathTest, VerifyManyEmptyBatch) {

@@ -1,5 +1,6 @@
 // Memoized RSA verification: identical verdicts to rsa_verify for both
-// accepting and rejecting cases, hit accounting, and the accel toggle.
+// accepting and rejecting cases, hit accounting, and key/kind/message
+// separation.
 #include <gtest/gtest.h>
 
 #include "crypto/counters.h"
@@ -36,11 +37,9 @@ TEST_F(VerifyMemoTest, MatchesPlainVerifyAndMemoizesBothVerdicts) {
     EXPECT_FALSE(
         rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, bad_sig));
   }
-  if (accel().verify_memo) {
-    const CounterSnapshot snap = counters().snapshot();
-    EXPECT_EQ(snap.verify_memo_misses, 2u);  // one per distinct signature
-    EXPECT_EQ(snap.verify_memo_hits, 4u);    // two repeats each
-  }
+  const CounterSnapshot snap = counters().snapshot();
+  EXPECT_EQ(snap.verify_memo_misses, 2u);  // one per distinct signature
+  EXPECT_EQ(snap.verify_memo_hits, 4u);    // two repeats each
 }
 
 TEST_F(VerifyMemoTest, DistinguishesMessageKindAndKey) {
@@ -53,21 +52,6 @@ TEST_F(VerifyMemoTest, DistinguishesMessageKindAndKey) {
                                common::to_bytes("payload2"), sig));
   // Different hash kind under the same key/message/signature.
   EXPECT_FALSE(rsa_verify_memo(keys_->pub, HashKind::kSha512, msg, sig));
-}
-
-TEST_F(VerifyMemoTest, AccelOffBypassesMemo) {
-  const AccelConfig saved = accel();
-  set_accel_enabled(false);
-  verify_memo_clear();
-  counters().reset();
-  const Bytes msg = common::to_bytes("direct");
-  const Bytes sig = rsa_sign(keys_->priv, HashKind::kSha256, msg);
-  EXPECT_TRUE(rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, sig));
-  EXPECT_TRUE(rsa_verify_memo(keys_->pub, HashKind::kSha256, msg, sig));
-  const CounterSnapshot snap = counters().snapshot();
-  EXPECT_EQ(snap.verify_memo_hits, 0u);
-  EXPECT_EQ(snap.verify_memo_misses, 0u);
-  set_accel(saved);
 }
 
 }  // namespace

@@ -32,21 +32,10 @@ using common::to_bytes;
 
 constexpr SimTime kLatency = 10;
 
-/// Forces accel().crypto_service for one scope, restoring the prior config.
-class ServiceGuard {
- public:
-  explicit ServiceGuard(bool service_on) : saved_(crypto::accel()) {
-    crypto::AccelConfig config = saved_;
-    config.crypto_service = service_on;
-    crypto::set_accel(config);
-  }
-  ~ServiceGuard() { crypto::set_accel(saved_); }
-  ServiceGuard(const ServiceGuard&) = delete;
-  ServiceGuard& operator=(const ServiceGuard&) = delete;
-
- private:
-  crypto::AccelConfig saved_;
-};
+/// How run_ring computes its crypto: through the CryptoService, or by
+/// calling sha256 / rsa_verify directly inside the submitting event (the
+/// inline baseline).
+enum class RingCrypto { kService, kDirect };
 
 /// Shared signing key — generation is the slow part, do it once.
 struct Fixture {
@@ -80,12 +69,41 @@ const Fixture& fixture() {
 /// rng draw, the per-endpoint counter, a digest prefix and both verdicts —
 /// so any reordering, re-timing or cross-talk between deferred completions
 /// shows up as a trace diff.
-std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
-                                               EngineOptions options,
-                                               std::size_t endpoints = 4,
-                                               std::size_t hops = 6) {
+std::vector<std::vector<std::string>> run_ring(
+    std::uint64_t seed, EngineOptions options,
+    RingCrypto path = RingCrypto::kService, std::size_t endpoints = 4,
+    std::size_t hops = 6) {
   const Fixture& fx = fixture();
   Engine engine(seed, options);
+  const auto digests = [&](std::vector<DigestJob> jobs,
+                           CryptoService::DigestCompletion done) {
+    if (path == RingCrypto::kService) {
+      engine.crypto_service().submit_digests(std::move(jobs), std::move(done));
+      return;
+    }
+    std::vector<Bytes> out;
+    for (const DigestJob& job : jobs) {
+      Bytes message;
+      if (job.tag >= 0) message.push_back(static_cast<std::uint8_t>(job.tag));
+      message.insert(message.end(), job.message.begin(), job.message.end());
+      out.push_back(crypto::sha256(message));
+    }
+    done(std::move(out));
+  };
+  const auto verifies = [&](std::vector<VerifyJob> jobs,
+                            CryptoService::VerifyCompletion done) {
+    if (path == RingCrypto::kService) {
+      engine.crypto_service().submit_verifies(std::move(jobs),
+                                              std::move(done));
+      return;
+    }
+    std::vector<bool> out;
+    for (const VerifyJob& job : jobs) {
+      out.push_back(
+          crypto::rsa_verify(*job.key, job.kind, job.message, job.signature));
+    }
+    done(std::move(out));
+  };
   engine.set_lookahead(kLatency);
   std::vector<EndpointId> ids;
   ids.reserve(endpoints);
@@ -103,7 +121,7 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
         digest_jobs[0].message = common::Payload::copy_of(payload);
         digest_jobs[1].message = common::Payload::copy_of(payload);
         digest_jobs[1].tag = 0x00;
-        engine.crypto_service().submit_digests(
+        digests(
             std::move(digest_jobs),
             [&, token, at_endpoint, remaining, self](std::vector<Bytes> dgs) {
               const std::size_t which = (token + remaining) % fx.msgs.size();
@@ -114,7 +132,7 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
               verify_jobs[1].key = fx.pub;
               verify_jobs[1].message = fx.msgs[2];
               verify_jobs[1].signature = fx.sigs[2];  // always rejected
-              engine.crypto_service().submit_verifies(
+              verifies(
                   std::move(verify_jobs),
                   [&, token, at_endpoint, remaining, self,
                    prefix = static_cast<int>(dgs[0][0]) * 256 +
@@ -149,17 +167,13 @@ std::vector<std::vector<std::string>> run_ring(std::uint64_t seed,
 }
 
 TEST(CryptoServiceDeterminism, TraceMatchesInlineAcrossShardsAndWorkers) {
-  // Inline baseline: the service disabled, every submit completes
-  // synchronously inside the submitting event.
-  std::vector<std::vector<std::string>> baseline;
-  {
-    ServiceGuard off(false);
-    baseline = run_ring(13, {1, 1});
-  }
+  // Inline baseline: no service, every hop hashes and verifies directly
+  // inside the submitting event.
+  const std::vector<std::vector<std::string>> baseline =
+      run_ring(13, {1, 1}, RingCrypto::kDirect);
   ASSERT_FALSE(baseline.empty());
   ASSERT_FALSE(baseline[0].empty());
 
-  ServiceGuard on(true);
   for (const EngineOptions options :
        {EngineOptions{1, 1}, EngineOptions{2, 1}, EngineOptions{4, 1},
         EngineOptions{1, 2}, EngineOptions{2, 2}, EngineOptions{2, 4},
@@ -178,12 +192,10 @@ TEST(CryptoServiceDeterminism, TraceMatchesInlineAcrossShardsAndWorkers) {
 }
 
 TEST(CryptoServiceDeterminism, ServiceRunsAreReproducible) {
-  ServiceGuard on(true);
   EXPECT_EQ(run_ring(77, {4, 4}), run_ring(77, {4, 4}));
 }
 
 TEST(CryptoService, DriverContextCompletesSynchronously) {
-  ServiceGuard on(true);
   Engine engine(1);
   const Fixture& fx = fixture();
 
@@ -237,7 +249,6 @@ TEST(CryptoService, EmptySubmissionsCompleteImmediately) {
 }
 
 TEST(CryptoService, DeferredCompletionRunsAtSubmissionTime) {
-  ServiceGuard on(true);
   Engine engine(1, {2, 1});
   engine.set_lookahead(kLatency);
   const EndpointId a = engine.endpoint("a");
