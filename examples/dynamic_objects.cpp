@@ -48,7 +48,7 @@ int main() {
   const auto* obj = alice.object("notebook");
   std::printf("stored 'notebook': %zu chunks x %zu KiB, version %llu, "
               "countersigned\n",
-              obj->chunks.size(), kChunkSize >> 10,
+              obj->mirror.chunks.size(), kChunkSize >> 10,
               static_cast<unsigned long long>(obj->chain.head_version()));
 
   // --- 2. Mutate chunk-by-chunk; every op extends the version chain. ------
@@ -61,9 +61,9 @@ int main() {
   std::printf("after append+update+insert: version %llu, %zu chunks, "
               "%llu receipts (each ~one chunk on the wire, not %zu)\n",
               static_cast<unsigned long long>(obj->chain.head_version()),
-              obj->chunks.size(),
+              obj->mirror.chunks.size(),
               static_cast<unsigned long long>(obj->receipts),
-              obj->chunks.size());
+              obj->mirror.chunks.size());
 
   // --- 3. Compact audits: c chunks vouched for in one constant-size proof.
   if (!auditor.watch_dyn(alice, "notebook")) {

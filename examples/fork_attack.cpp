@@ -68,8 +68,9 @@ int main() {
                   alice_obj->chain.head_version()),
               static_cast<unsigned long long>(
                   alice_obj->checker->view().head_seq()),
-              alice_obj->tree.root() == carol_obj->tree.root() ? "yes"
-                                                               : "NO");
+              alice_obj->mirror.tree.root() == carol_obj->mirror.tree.root()
+                  ? "yes"
+                  : "NO");
 
   // --- 2. The fork: per-victim branches, each internally perfect. ---------
   std::printf("\nprovider forks the object: alice -> branch 0, "

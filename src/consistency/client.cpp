@@ -73,25 +73,13 @@ std::string ConsClientActor::store_shared(const std::string& provider,
   // The record commits to the post-store mirror, but the mirror itself
   // stays empty until the provider's commit comes back — the consistency
   // client is never optimistic.
-  const std::vector<Bytes> chunks = dyn::split_chunks(data, chunk_size);
-  const dyn::DynMerkleTree tree =
-      dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
-  VersionRecord record;
-  record.object_key = object_key;
-  record.version = 1;
-  record.op = MutateOp::kStore;
-  record.chunk_index = 0;
-  record.chunk_count = tree.leaf_count();
-  record.old_root = dyn::DynMerkleTree::empty_root();
-  record.new_root = tree.root();
-  record.chunk_tag = 0;
-  record.prev_record_hash = VersionRecord::genesis_link();
-
   SharedObject::PendingOp pending;
   pending.op = MutateOp::kStore;
   pending.chunk = Bytes(data.begin(), data.end());
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  pending.record =
+      obj.chain.next_record(object_key, MutateOp::kStore, 0,
+                            dyn::DynMerkleTree::build_over(data, chunk_size));
+  pending.client_sig = identity_->sign(pending.record.encode());
   obj.pending = std::move(pending);
 
   const std::string txn_id = obj.txn_id;
@@ -152,7 +140,8 @@ bool ConsClientActor::append_chunk(const std::string& object_key,
                                    BytesView chunk) {
   SharedObject* obj = mutable_object(object_key);
   return obj != nullptr &&
-         begin_op(*obj, MutateOp::kAppend, obj->tree.leaf_count(), chunk);
+         begin_op(*obj, MutateOp::kAppend, obj->mirror.tree.leaf_count(),
+                  chunk);
 }
 
 bool ConsClientActor::erase(const std::string& object_key,
@@ -179,57 +168,22 @@ bool ConsClientActor::begin_op(SharedObject& obj, MutateOp op,
 
 bool ConsClientActor::build_pending_record(SharedObject& obj) {
   SharedObject::PendingOp& pending = *obj.pending;
-  if (pending.op == MutateOp::kStore) return false;  // store never rebuilds
-  const std::uint64_t count = obj.tree.leaf_count();
-  const bool inserting =
-      pending.op == MutateOp::kInsert || pending.op == MutateOp::kAppend;
-  if (pending.op == MutateOp::kAppend) pending.index = count;
+  // The store never rebuilds; check() rejects it as not a mutation.
+  if (pending.op == MutateOp::kAppend) {
+    pending.index = obj.mirror.tree.leaf_count();
+  }
   const std::uint64_t index = pending.index;
-  if (inserting ? index > count : index >= count) return false;
-  if (pending.op == MutateOp::kErase) {
-    if (!pending.chunk.empty()) return false;
-  } else {
-    if (pending.chunk.empty() || pending.chunk.size() > obj.chunk_size) {
-      return false;
-    }
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (!at_tail && pending.chunk.size() != obj.chunk_size) return false;
-  }
-  if (inserting && index == count && count > 0 &&
-      obj.chunks[count - 1].size() != obj.chunk_size) {
-    return false;  // appending after a short tail would break the stride
+  if (obj.mirror.check(pending.op, index, pending.chunk, obj.chunk_size) !=
+      dyn::ChunkOpFault::kOk) {
+    return false;
   }
 
-  // Compute the post-op root on a scratch copy; the real mirror only moves
-  // when the provider's commit comes back.
-  dyn::DynMerkleTree scratch = obj.tree.clone();
-  switch (pending.op) {
-    case MutateOp::kUpdate:
-      scratch.update(index, pending.chunk);
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      scratch.insert(index, pending.chunk);
-      break;
-    case MutateOp::kErase:
-      scratch.erase(index);
-      break;
-    case MutateOp::kStore:
-      return false;
-  }
-
-  VersionRecord record;
-  record.object_key = obj.object_key;
-  record.version = obj.chain.head_version() + 1;
-  record.op = pending.op;
-  record.chunk_index = index;
-  record.chunk_count = scratch.leaf_count();
-  record.old_root = obj.chain.head_root();
-  record.new_root = scratch.root();
-  record.chunk_tag = 0;
-  record.prev_record_hash = obj.chain.head_hash();
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  // The record claims the post-op root; the mirror itself only moves when
+  // the provider's commit comes back.
+  pending.record = obj.chain.next_record(
+      obj.object_key, pending.op, index,
+      obj.mirror.tree_after(pending.op, index, pending.chunk));
+  pending.client_sig = identity_->sign(pending.record.encode());
   pending.attempts = 0;
   return true;
 }
@@ -346,57 +300,29 @@ bool ConsClientActor::advance_mirror(SharedObject& obj,
     ++obj.rejected;
     return false;
   }
-  std::string why;
-  dyn::VersionChain chain_probe = obj.chain;  // append validates links
-  if (!chain_probe.append(op.record, &why)) {
+  if (!obj.chain.extends(rec)) {
     ++obj.rejected;
     return false;
   }
 
-  // Apply on scratch state so a record that misdescribes its op (a
-  // byzantine provider) leaves the mirror untouched.
-  std::vector<Bytes> chunks = obj.chunks;
-  dyn::DynMerkleTree tree = obj.tree.clone();
+  // A record that misdescribes its op (a byzantine provider) leaves the
+  // mirror untouched.
   if (rec.op == MutateOp::kStore) {
-    chunks = dyn::split_chunks(op.op_bytes, obj.chunk_size);
-    tree = dyn::DynMerkleTree::build(dyn::chunk_views(chunks));
-  } else {
-    const auto at = static_cast<std::ptrdiff_t>(rec.chunk_index);
-    if (rec.op == MutateOp::kErase
-            ? rec.chunk_index >= tree.leaf_count()
-            : rec.chunk_index > tree.leaf_count()) {
+    dyn::ChunkMirror built =
+        dyn::ChunkMirror::build(op.op_bytes, obj.chunk_size);
+    if (!rec.matches(built.tree)) {
       ++obj.rejected;
       return false;
     }
-    switch (rec.op) {
-      case MutateOp::kUpdate:
-        if (rec.chunk_index >= tree.leaf_count()) {
-          ++obj.rejected;
-          return false;
-        }
-        tree.update(rec.chunk_index, op.op_bytes);
-        chunks[rec.chunk_index] = op.op_bytes;
-        break;
-      case MutateOp::kInsert:
-      case MutateOp::kAppend:
-        tree.insert(rec.chunk_index, op.op_bytes);
-        chunks.insert(chunks.begin() + at, op.op_bytes);
-        break;
-      case MutateOp::kErase:
-        tree.erase(rec.chunk_index);
-        chunks.erase(chunks.begin() + at);
-        break;
-      case MutateOp::kStore:
-        break;
-    }
-  }
-  if (tree.root() != rec.new_root || tree.leaf_count() != rec.chunk_count) {
+    obj.mirror = std::move(built);
+  } else if (obj.mirror.check(rec.op, rec.chunk_index, op.op_bytes,
+                              obj.chunk_size) != dyn::ChunkOpFault::kOk ||
+             obj.mirror.apply_record(rec, op.op_bytes) !=
+                 dyn::ChunkOpFault::kOk) {
     ++obj.rejected;
     return false;
   }
-  obj.chunks = std::move(chunks);
-  obj.tree = std::move(tree);
-  obj.chain = std::move(chain_probe);
+  obj.chain.append(op.record);
   ++obj.commits_applied;
   obj.opened = true;
   return true;
@@ -429,7 +355,8 @@ bool ConsClientActor::absorb_committed_op(SharedObject& obj,
   // Our own submission coming back committed IS the receipt.
   if (obj.pending && op.commit.view.client == id() &&
       op.record.record.version == obj.pending->record.version &&
-      op.record.record.encode() == obj.pending->record.encode()) {
+      op.record.same_submission(obj.pending->record,
+                                obj.pending->client_sig)) {
     ++obj.receipts;
     obj.pending.reset();
   }

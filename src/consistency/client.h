@@ -33,7 +33,7 @@
 #include "common/id.h"
 #include "consistency/fork_checker.h"
 #include "consistency/op_log.h"
-#include "dyn/dyn_merkle.h"
+#include "dyn/chunk_mirror.h"
 #include "dyn/version_chain.h"
 #include "nr/actor.h"
 
@@ -71,8 +71,7 @@ class ConsClientActor final : public nr::NrActor {
     std::string object_key;
     std::string txn_id;  ///< this client's request transaction
     std::size_t chunk_size = 0;
-    std::vector<Bytes> chunks;  ///< committed mirror (commit-driven only)
-    dyn::DynMerkleTree tree;
+    dyn::ChunkMirror mirror;  ///< committed chunks + tree (commit-driven only)
     dyn::VersionChain chain;
     std::optional<ForkChecker> checker;
     bool opened = false;  ///< view update (or own store commit) arrived

@@ -16,29 +16,13 @@ namespace {
 
 constexpr common::SimTime kReplyWindow = 30 * common::kSecond;
 
-bool fail(std::string* why, std::string reason) {
-  if (why != nullptr) *why = std::move(reason);
-  return false;
-}
-
-common::Bytes concat_chunks(const std::vector<common::Bytes>& chunks) {
-  common::Bytes out;
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
-  out.reserve(total);
-  for (const auto& chunk : chunks) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  }
-  return out;
-}
-
 ConsProviderActor::Branch clone_branch(const ConsProviderActor::Branch& b) {
   ConsProviderActor::Branch c;
   c.chain = b.chain;
   c.views = b.views;
   c.log = b.log;
-  c.chunks = b.chunks;
-  c.tree = b.tree.clone();
+  c.mirror.chunks = b.mirror.chunks;
+  c.mirror.tree = b.mirror.tree.clone();
   return c;
 }
 
@@ -97,7 +81,7 @@ void ConsProviderActor::sync_store_views(const std::string& object_key,
     const Branch& branch = state.branches[branch_index];
     storage::ClientView view;
     view.version = branch.chain.head_version();
-    view.data = concat_chunks(branch.chunks);
+    view.data = branch.mirror.concat();
     views.emplace(client, std::move(view));
   }
   store_.arm_equivocation(object_key, std::move(views));
@@ -114,77 +98,6 @@ void ConsProviderActor::on_message(const nr::NrMessage& message) {
     default:
       break;
   }
-}
-
-bool ConsProviderActor::apply_op(Branch& branch, std::size_t chunk_size,
-                                 const VersionRecord& record, BytesView chunk,
-                                 std::string* why) {
-  const std::uint64_t count = branch.tree.leaf_count();
-  const std::uint64_t index = record.chunk_index;
-  const bool inserting =
-      record.op == MutateOp::kInsert || record.op == MutateOp::kAppend;
-  const bool erasing = record.op == MutateOp::kErase;
-  if (record.op == MutateOp::kStore) {
-    return fail(why, "store op on an existing object");
-  }
-  if (inserting ? index > count : index >= count) {
-    return fail(why, "chunk index out of range");
-  }
-  if (erasing) {
-    if (!chunk.empty()) return fail(why, "erase carries chunk bytes");
-  } else if (chunk.empty()) {
-    return fail(why, "mutation carries no chunk bytes");
-  }
-  const std::uint64_t expected_count =
-      inserting ? count + 1 : (erasing ? count - 1 : count);
-  if (record.chunk_count != expected_count) {
-    return fail(why, "chunk_count does not match the op");
-  }
-
-  // Same stride rule the dynamic layer enforces: the store serves reads at
-  // a fixed chunk_size stride, so only the LAST chunk may be short.
-  if (!erasing) {
-    if (chunk.size() > chunk_size) {
-      return fail(why, "chunk exceeds the object's chunk size");
-    }
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (!at_tail && chunk.size() != chunk_size) {
-      return fail(why, "interior chunk must be full stride");
-    }
-    if (inserting && index == count && count > 0 &&
-        branch.chunks[count - 1].size() != chunk_size) {
-      return fail(why, "append after a short tail breaks the stride");
-    }
-  }
-
-  dyn::DynMerkleTree backup = branch.tree.clone();
-  std::vector<Bytes> chunks_backup = branch.chunks;
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (record.op) {
-    case MutateOp::kUpdate:
-      branch.tree.update(index, chunk);
-      branch.chunks[index] = Bytes(chunk.begin(), chunk.end());
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      branch.tree.insert(index, chunk);
-      branch.chunks.insert(branch.chunks.begin() + at,
-                           Bytes(chunk.begin(), chunk.end()));
-      break;
-    case MutateOp::kErase:
-      branch.tree.erase(index);
-      branch.chunks.erase(branch.chunks.begin() + at);
-      break;
-    case MutateOp::kStore:
-      return fail(why, "unreachable");
-  }
-  if (branch.tree.leaf_count() != record.chunk_count ||
-      branch.tree.root() != record.new_root) {
-    branch.tree = std::move(backup);
-    branch.chunks = std::move(chunks_backup);
-    return fail(why, "claimed new_root does not match the applied op");
-  }
-  return true;
 }
 
 void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
@@ -241,10 +154,8 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
       // Idempotent store retry: same creator, same signed v1 record.
       const Branch& main = state.branches.front();
       if (h.sender == state.creator && rec.version == 1 && !main.log.empty() &&
-          common::constant_time_equal(
-              main.log.front().record.record.encode(), rec.encode()) &&
-          common::constant_time_equal(main.log.front().record.client_sig,
-                                      signed_record.client_sig)) {
+          main.log.front().record.same_submission(rec,
+                                                  signed_record.client_sig)) {
         ++receipts_resent_;
         if (behavior_.send_commits) {
           send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
@@ -256,19 +167,16 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
                     "object already exists", {});
       return;
     }
-    if (chunk_size == 0 || chunk.empty() || rec.version != 1 ||
-        rec.old_root != dyn::DynMerkleTree::empty_root() ||
-        rec.prev_record_hash != VersionRecord::genesis_link() ||
+    if (chunk_size == 0 || chunk.empty() ||
+        !dyn::VersionChain().extends(rec) ||
         observed_head != ViewCommitment::genesis_link()) {
       send_op_error(h.sender, h.txn_id, object_key, rec.version,
                     "malformed store record", {});
       return;
     }
     Branch branch;
-    branch.chunks = dyn::split_chunks(chunk, chunk_size);
-    branch.tree = dyn::DynMerkleTree::build(dyn::chunk_views(branch.chunks));
-    if (branch.tree.leaf_count() != rec.chunk_count ||
-        branch.tree.root() != rec.new_root) {
+    branch.mirror = dyn::ChunkMirror::build(chunk, chunk_size);
+    if (!rec.matches(branch.mirror.tree)) {
       send_op_error(h.sender, h.txn_id, object_key, rec.version,
                     "store record root does not match the data", {});
       return;
@@ -308,10 +216,7 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
   const std::uint64_t head = branch.chain.head_version();
   if (rec.version >= 1 && rec.version <= head) {
     const CommittedOp& committed = branch.log[rec.version - 1];
-    if (common::constant_time_equal(committed.record.record.encode(),
-                                    rec.encode()) &&
-        common::constant_time_equal(committed.record.client_sig,
-                                    signed_record.client_sig)) {
+    if (committed.record.same_submission(rec, signed_record.client_sig)) {
       ++receipts_resent_;
       if (behavior_.send_commits) {
         send_commit(h.sender, state.txn_id, object_key, state.chunk_size,
@@ -340,9 +245,14 @@ void ConsProviderActor::handle_op_request(const nr::NrMessage& message) {
                   "record does not link to the committed head", {});
     return;
   }
-  std::string why;
-  if (!apply_op(branch, state.chunk_size, rec, chunk, &why)) {
-    send_op_error(h.sender, h.txn_id, object_key, rec.version, why, {});
+  dyn::ChunkOpFault fault =
+      branch.mirror.check(rec.op, index, chunk, state.chunk_size);
+  if (fault == dyn::ChunkOpFault::kOk) {
+    fault = branch.mirror.apply_record(rec, chunk);
+  }
+  if (fault != dyn::ChunkOpFault::kOk) {
+    send_op_error(h.sender, h.txn_id, object_key, rec.version,
+                  dyn::chunk_op_fault_name(fault), {});
     return;
   }
   commit_op(object_key, state, branch_index, h.sender,
@@ -371,10 +281,7 @@ void ConsProviderActor::commit_op(const std::string& object_key,
                                   Bytes op_bytes) {
   Branch& branch = state.branches[branch_index];
 
-  Bytes countersigned = record.record.encode();
-  countersigned.insert(countersigned.end(), record.client_sig.begin(),
-                       record.client_sig.end());
-  record.provider_sig = identity_->sign(countersigned);
+  record.countersign(*identity_);
 
   ViewCommitment view;
   view.object_key = object_key;
@@ -400,21 +307,8 @@ void ConsProviderActor::commit_op(const std::string& object_key,
   // Storage effects: the main branch is what the store "really" holds;
   // fork branches exist as armed per-client views on top of it.
   if (branch_index == 0) {
-    common::Payload stored(concat_chunks(branch.chunks));
-    const Bytes data_md5 = crypto::md5(stored);
-    const VersionRecord& rec = op.record.record;
-    if (rec.op == MutateOp::kStore) {
-      store_.put(object_key, std::move(stored), data_md5, network_->now());
-    } else {
-      storage::MutationInfo info;
-      info.op = static_cast<std::uint8_t>(rec.op);
-      info.chunk_index = rec.chunk_index;
-      info.chunk_count = rec.chunk_count;
-      info.old_root = rec.old_root;
-      info.new_root = rec.new_root;
-      store_.mutate(object_key, std::move(stored), data_md5, network_->now(),
-                    info);
-    }
+    branch.mirror.write_to(store_, object_key, op.record.record,
+                           network_->now());
   }
   if (state.branches.size() > 1) sync_store_views(object_key, state);
 

@@ -26,7 +26,7 @@
 
 #include "consistency/op_log.h"
 #include "consistency/view_history.h"
-#include "dyn/dyn_merkle.h"
+#include "dyn/chunk_mirror.h"
 #include "dyn/version_chain.h"
 #include "nr/actor.h"
 #include "storage/object_store.h"
@@ -47,8 +47,7 @@ class ConsProviderActor final : public nr::NrActor {
     dyn::VersionChain chain;
     ViewHistory views;
     std::vector<CommittedOp> log;
-    std::vector<Bytes> chunks;  ///< committed mirror of this branch
-    dyn::DynMerkleTree tree;
+    dyn::ChunkMirror mirror;  ///< committed chunks + tree of this branch
   };
 
   /// Provider-side state of one shared object.
@@ -104,13 +103,6 @@ class ConsProviderActor final : public nr::NrActor {
  private:
   void handle_op_request(const nr::NrMessage& message);
   void handle_view_query(const nr::NrMessage& message);
-
-  /// Validates a well-formed next-version record against `branch`'s mirror,
-  /// applies it, and verifies the claimed new_root. Returns false (mirror
-  /// untouched) with an explanation otherwise.
-  bool apply_op(Branch& branch, std::size_t chunk_size,
-                const dyn::VersionRecord& record, BytesView chunk,
-                std::string* why);
 
   /// Countersigns and commits a validated op onto `branch`, updates the
   /// store (main branch: real write; forked: re-armed equivocation views),

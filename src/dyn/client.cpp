@@ -65,26 +65,16 @@ std::string DynClientActor::store_dyn(const std::string& provider,
   obj.object_key = object_key;
   obj.txn_id = txn_ids_.next_id("dyn");
   obj.chunk_size = chunk_size;
-  obj.chunks = split_chunks(data, chunk_size);
-  obj.tree = DynMerkleTree::build(chunk_views(obj.chunks));
+  obj.mirror = ChunkMirror::build(data, chunk_size);
   obj.tag_key = TagKey::derive(master_secret_, object_key);
   obj.alphas = obj.tag_key.alphas(sectors_per_chunk(chunk_size));
-  obj.tags = make_tags(obj.tag_key, chunk_views(obj.chunks), chunk_size);
-
-  VersionRecord record;
-  record.object_key = object_key;
-  record.version = 1;
-  record.op = MutateOp::kStore;
-  record.chunk_index = 0;
-  record.chunk_count = obj.tree.leaf_count();
-  record.old_root = DynMerkleTree::empty_root();
-  record.new_root = obj.tree.root();
-  record.chunk_tag = 0;
-  record.prev_record_hash = VersionRecord::genesis_link();
+  obj.tags =
+      make_tags(obj.tag_key, chunk_views(obj.mirror.chunks), chunk_size);
 
   DynObject::PendingOp pending;
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  pending.record =
+      obj.chain.next_record(object_key, MutateOp::kStore, 0, obj.mirror.tree);
+  pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(data.begin(), data.end());
   obj.pending = std::move(pending);
 
@@ -113,8 +103,8 @@ bool DynClientActor::append_chunk(const std::string& object_key,
                                   BytesView chunk) {
   DynObject* obj = mutable_object(object_key);
   return obj != nullptr &&
-         begin_mutation(*obj, MutateOp::kAppend, obj->tree.leaf_count(),
-                        chunk);
+         begin_mutation(*obj, MutateOp::kAppend,
+                        obj->mirror.tree.leaf_count(), chunk);
 }
 
 bool DynClientActor::erase(const std::string& object_key,
@@ -126,74 +116,35 @@ bool DynClientActor::erase(const std::string& object_key,
 
 bool DynClientActor::begin_mutation(DynObject& obj, MutateOp op,
                                     std::uint64_t index, BytesView chunk) {
-  if (obj.pending) return false;  // one in-flight mutation per object
-  const std::uint64_t count = obj.tree.leaf_count();
-  const bool inserting = op == MutateOp::kInsert || op == MutateOp::kAppend;
-  if (inserting ? index > count : index >= count) return false;
-
-  // The store serves aggregate challenges by slicing the object at a fixed
-  // chunk_size stride, so only the LAST chunk may be short — enforce that
-  // invariant here rather than letting the provider reject later.
-  if (op != MutateOp::kErase) {
-    if (chunk.empty() || chunk.size() > obj.chunk_size) return false;
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (!at_tail && chunk.size() != obj.chunk_size) return false;
-  }
-  if (inserting && index == count && count > 0 &&
-      obj.chunks[count - 1].size() != obj.chunk_size) {
-    return false;  // appending after a short tail would break the stride
+  // One in-flight mutation per object, and only ops that keep the stride
+  // layout the store serves aggregate challenges from.
+  if (obj.pending || obj.mirror.check(op, index, chunk, obj.chunk_size) !=
+                         ChunkOpFault::kOk) {
+    return false;
   }
 
-  VersionRecord record;
-  record.object_key = obj.object_key;
-  record.version = obj.chain.head_version() + 1;
-  record.op = op;
-  record.chunk_index = index;
-  record.old_root = obj.chain.head_root();
-  record.prev_record_hash = obj.chain.head_hash();
-
-  DynObject::PendingOp pending;
-  pending.tree_backup = obj.tree.clone();
-
+  // The PoR tag is computed over the leaf hash, which the tree then reuses.
   Bytes leaf_hash;
   std::uint64_t tag = 0;
   if (op != MutateOp::kErase) {
     leaf_hash = DynMerkleTree::hash_chunk(chunk);
     tag = make_tag(obj.tag_key, chunk, leaf_hash, obj.alphas);
   }
-
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (op) {
-    case MutateOp::kUpdate:
-      pending.old_chunk = obj.chunks[index];
-      pending.old_tag = obj.tags[index];
-      obj.tree.update_leaf(index, std::move(leaf_hash));
-      obj.chunks[index] = Bytes(chunk.begin(), chunk.end());
-      obj.tags[index] = tag;
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      obj.tree.insert_leaf(index, std::move(leaf_hash));
-      obj.chunks.insert(obj.chunks.begin() + at,
-                        Bytes(chunk.begin(), chunk.end()));
-      obj.tags.insert(obj.tags.begin() + at, tag);
-      break;
-    case MutateOp::kErase:
-      pending.old_chunk = std::move(obj.chunks[index]);
-      pending.old_tag = obj.tags[index];
-      obj.tree.erase(index);
-      obj.chunks.erase(obj.chunks.begin() + at);
-      obj.tags.erase(obj.tags.begin() + at);
-      break;
-    case MutateOp::kStore:
-      return false;  // store_dyn builds its own record
+  DynObject::PendingOp pending;
+  pending.tree_backup = std::exchange(
+      obj.mirror.tree,
+      obj.mirror.tree_after(op, index, chunk, std::move(leaf_hash)));
+  if (op == MutateOp::kUpdate || op == MutateOp::kErase) {
+    pending.old_chunk = std::move(obj.mirror.chunks[index]);
+    pending.old_tag = obj.tags[index];
   }
+  apply_to_items(obj.mirror.chunks, op, index,
+                 Bytes(chunk.begin(), chunk.end()));
+  apply_to_items(obj.tags, op, index, tag);
 
-  record.chunk_count = obj.tree.leaf_count();
-  record.new_root = obj.tree.root();
-  record.chunk_tag = tag;
-  pending.client_sig = identity_->sign(record.encode());
-  pending.record = std::move(record);
+  pending.record = obj.chain.next_record(obj.object_key, op, index,
+                                         obj.mirror.tree, tag);
+  pending.client_sig = identity_->sign(pending.record.encode());
   pending.chunk = Bytes(chunk.begin(), chunk.end());
   obj.pending = std::move(pending);
   transmit_pending(obj.object_key);
@@ -271,30 +222,23 @@ void DynClientActor::arm_receipt_timer(const std::string& object_key,
 void DynClientActor::revert_pending(DynObject& obj) {
   if (!obj.pending) return;
   DynObject::PendingOp& pending = *obj.pending;
-  const std::uint64_t index = pending.record.chunk_index;
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (pending.record.op) {
-    case MutateOp::kStore:
-      // Version 1 never committed — the object does not exist.
-      txn_to_object_.erase(obj.txn_id);
-      objects_.erase(obj.object_key);  // `obj` is dead past this line
-      return;
-    case MutateOp::kUpdate:
-      obj.chunks[index] = std::move(pending.old_chunk);
-      obj.tags[index] = pending.old_tag;
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      obj.chunks.erase(obj.chunks.begin() + at);
-      obj.tags.erase(obj.tags.begin() + at);
-      break;
-    case MutateOp::kErase:
-      obj.chunks.insert(obj.chunks.begin() + at,
-                        std::move(pending.old_chunk));
-      obj.tags.insert(obj.tags.begin() + at, pending.old_tag);
-      break;
+  const MutateOp op = pending.record.op;
+  if (op == MutateOp::kStore) {
+    // Version 1 never committed — the object does not exist.
+    txn_to_object_.erase(obj.txn_id);
+    objects_.erase(obj.object_key);  // `obj` is dead past this line
+    return;
   }
-  obj.tree = std::move(pending.tree_backup);
+  // The inverse op restores the chunks and tags; the tree gets its pre-op
+  // snapshot back.
+  const MutateOp inverse = op == MutateOp::kUpdate  ? MutateOp::kUpdate
+                           : op == MutateOp::kErase ? MutateOp::kInsert
+                                                    : MutateOp::kErase;
+  const std::uint64_t index = pending.record.chunk_index;
+  apply_to_items(obj.mirror.chunks, inverse, index,
+                 std::move(pending.old_chunk));
+  apply_to_items(obj.tags, inverse, index, pending.old_tag);
+  obj.mirror.tree = std::move(pending.tree_backup);
   obj.pending.reset();
 }
 
@@ -351,10 +295,8 @@ void DynClientActor::handle_receipt(const nr::NrMessage& message) {
   }
   // The countersigned record must be EXACTLY the one we signed, and the
   // provider's countersignature must cover record‖our-signature.
-  if (!common::constant_time_equal(signed_record.record.encode(),
-                                   obj->pending->record.encode()) ||
-      !common::constant_time_equal(signed_record.client_sig,
-                                   obj->pending->client_sig)) {
+  if (!signed_record.same_submission(obj->pending->record,
+                                     obj->pending->client_sig)) {
     ++stats_.rejected_bad_hash;
     return;
   }

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/id.h"
-#include "dyn/dyn_merkle.h"
+#include "dyn/chunk_mirror.h"
 #include "dyn/por_tags.h"
 #include "dyn/version_chain.h"
 #include "nr/actor.h"
@@ -49,8 +49,9 @@ class DynClientActor final : public nr::NrActor {
     std::string object_key;
     std::string txn_id;
     std::size_t chunk_size = 0;
-    std::vector<Bytes> chunks;  ///< content mirror (inverse ops need bytes)
-    DynMerkleTree tree;         ///< rank-annotated mirror, O(log n) per op
+    /// Chunk bytes (inverse ops need them) plus the rank-annotated tree,
+    /// O(log n) per op.
+    ChunkMirror mirror;
     std::vector<std::uint64_t> tags;
     TagKey tag_key;
     std::vector<std::uint64_t> alphas;  ///< cached α_j for this chunk size

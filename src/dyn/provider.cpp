@@ -13,17 +13,6 @@ namespace {
 
 constexpr common::SimTime kReplyWindow = 30 * common::kSecond;
 
-Bytes concat_chunks(std::span<const Bytes> chunks) {
-  std::size_t total = 0;
-  for (const Bytes& chunk : chunks) total += chunk.size();
-  Bytes out;
-  out.reserve(total);
-  for (const Bytes& chunk : chunks) {
-    out.insert(out.end(), chunk.begin(), chunk.end());
-  }
-  return out;
-}
-
 }  // namespace
 
 DynProviderActor::DynProviderActor(std::string id, net::Network& network,
@@ -148,9 +137,7 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   const auto existing = objects_.find(object_key);
   if (existing != objects_.end()) {
     const SignedVersionRecord& committed = existing->second.chain.records()[0];
-    if (common::constant_time_equal(committed.record.encode(), rec.encode()) &&
-        common::constant_time_equal(committed.client_sig,
-                                    signed_record.client_sig)) {
+    if (committed.same_submission(rec, signed_record.client_sig)) {
       ++receipts_resent_;
       send_receipt(h.sender, h.txn_id, nr::MsgType::kDynStoreReceipt,
                    committed);
@@ -166,18 +153,11 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
   state.txn_id = h.txn_id;
   state.client = h.sender;
   state.chunk_size = chunk_size;
-  state.chunks = split_chunks(data, chunk_size);
-  state.tree = DynMerkleTree::build(chunk_views(state.chunks));
+  state.mirror = ChunkMirror::build(data, chunk_size);
   state.tags = std::move(tags);
-  if (rec.version != 1 || rec.op != MutateOp::kStore ||
-      rec.object_key != object_key ||
-      rec.chunk_count != state.tree.leaf_count() ||
-      state.tags.size() != state.chunks.size() ||
-      !common::constant_time_equal(rec.old_root,
-                                   DynMerkleTree::empty_root()) ||
-      !common::constant_time_equal(rec.prev_record_hash,
-                                   VersionRecord::genesis_link()) ||
-      !common::constant_time_equal(rec.new_root, state.tree.root())) {
+  if (!state.chain.extends(rec) || rec.object_key != object_key ||
+      state.tags.size() != state.mirror.chunks.size() ||
+      !rec.matches(state.mirror.tree)) {
     ++stats_.rejected_bad_hash;
     return;
   }
@@ -189,12 +169,7 @@ void DynProviderActor::handle_dyn_store(const nr::NrMessage& message) {
     return;
   }
 
-  signed_record.provider_sig = [&] {
-    Bytes material = rec.encode();
-    const Bytes& sig = signed_record.client_sig;
-    material.insert(material.end(), sig.begin(), sig.end());
-    return identity_->sign(material);
-  }();
+  signed_record.countersign(*identity_);
   std::string why;
   if (!state.chain.append(signed_record, &why)) {
     ++stats_.rejected_bad_hash;  // cannot happen for a validated v1 record
@@ -276,9 +251,7 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
   if (rec.version >= 1 && rec.version <= head) {
     const SignedVersionRecord& committed =
         state.chain.records()[rec.version - 1];
-    if (common::constant_time_equal(committed.record.encode(), rec.encode()) &&
-        common::constant_time_equal(committed.client_sig,
-                                    signed_record.client_sig)) {
+    if (committed.same_submission(rec, signed_record.client_sig)) {
       ++receipts_resent_;
       send_receipt(h.sender, h.txn_id, nr::MsgType::kMutateReceipt,
                    committed);
@@ -301,30 +274,18 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     return;
   }
 
-  // Structural validation against the committed mirror — same stride rules
-  // the client enforces (only the last chunk may be short).
-  const std::uint64_t count = state.tree.leaf_count();
-  const bool inserting =
-      rec.op == MutateOp::kInsert || rec.op == MutateOp::kAppend;
-  const bool erasing = rec.op == MutateOp::kErase;
-  if (rec.op == MutateOp::kStore || (inserting ? index > count : index >= count) ||
-      (rec.op == MutateOp::kAppend && index != count)) {
-    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      "index out of range");
+  // Structural validation against the committed mirror — the same chunk-op
+  // rule the client enforces before signing.
+  ChunkOpFault fault =
+      state.mirror.check(rec.op, index, chunk, state.chunk_size);
+  if (fault == ChunkOpFault::kErasePayload ||
+      (rec.op == MutateOp::kErase && tag != 0)) {
+    ++stats_.rejected_bad_hash;
     return;
   }
-  if (!erasing) {
-    const bool at_tail = inserting ? index == count : index + 1 == count;
-    if (chunk.empty() || chunk.size() > state.chunk_size ||
-        (!at_tail && chunk.size() != state.chunk_size) ||
-        (inserting && index == count && count > 0 &&
-         state.chunks[count - 1].size() != state.chunk_size)) {
-      send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                        "chunk breaks the stride layout");
-      return;
-    }
-  } else if (chunk.size() != 0 || tag != 0) {
-    ++stats_.rejected_bad_hash;
+  if (fault != ChunkOpFault::kOk) {
+    send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
+                      chunk_op_fault_name(fault));
     return;
   }
 
@@ -335,76 +296,28 @@ void DynProviderActor::handle_mutate(const nr::NrMessage& message) {
     return;
   }
 
-  // Apply to the tree first (O(log n)) and check the claimed post-op root
-  // before committing anything — a mismatch reverts the snapshot and
-  // rejects.
-  DynMerkleTree backup = state.tree.clone();
-  const auto at = static_cast<std::ptrdiff_t>(index);
-  switch (rec.op) {
-    case MutateOp::kUpdate:
-      state.tree.update(index, chunk);
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      state.tree.insert(index, chunk);
-      break;
-    case MutateOp::kErase:
-      state.tree.erase(index);
-      break;
-    case MutateOp::kStore:
-      return;  // unreachable (rejected above)
-  }
-  if (state.tree.leaf_count() != rec.chunk_count ||
-      !common::constant_time_equal(state.tree.root(), rec.new_root)) {
-    state.tree = std::move(backup);
+  // Apply only if the op lands on the claimed post-op root — a mismatch
+  // leaves the mirror as it was and rejects.
+  fault = state.mirror.apply_record(rec, std::move(chunk));
+  if (fault != ChunkOpFault::kOk) {
     send_mutate_error(h.sender, h.txn_id, object_key, rec.version,
-                      "claimed new root does not match the applied op");
+                      chunk_op_fault_name(fault));
     return;
   }
-  switch (rec.op) {
-    case MutateOp::kUpdate:
-      state.chunks[index] = std::move(chunk);
-      state.tags[index] = tag;
-      break;
-    case MutateOp::kInsert:
-    case MutateOp::kAppend:
-      state.chunks.insert(state.chunks.begin() + at, std::move(chunk));
-      state.tags.insert(state.tags.begin() + at, tag);
-      break;
-    case MutateOp::kErase:
-      state.chunks.erase(state.chunks.begin() + at);
-      state.tags.erase(state.tags.begin() + at);
-      break;
-    case MutateOp::kStore:
-      break;
-  }
+  apply_to_items(state.tags, rec.op, index, tag);
 
   // Commit: countersign, extend the chain, and write the mutated object
   // through to the store (which journals a MutationRecord). A store that
   // ACKs but drops the write — arm_stale_mutations() — diverges here, and
   // the next audit answered from the store exposes it.
-  signed_record.provider_sig = [&] {
-    Bytes material = rec.encode();
-    const Bytes& sig = signed_record.client_sig;
-    material.insert(material.end(), sig.begin(), sig.end());
-    return identity_->sign(material);
-  }();
+  signed_record.countersign(*identity_);
   std::string why;
   if (!state.chain.append(signed_record, &why)) {
     throw common::ProtocolError(
         "DynProviderActor: validated record does not extend the chain: " +
         why);
   }
-  storage::MutationInfo info;
-  info.op = static_cast<std::uint8_t>(rec.op);
-  info.chunk_index = rec.chunk_index;
-  info.chunk_count = rec.chunk_count;
-  info.old_root = rec.old_root;
-  info.new_root = rec.new_root;
-  common::Payload stored(concat_chunks(state.chunks));
-  const Bytes data_md5 = crypto::md5(stored);
-  store_.mutate(object_key, std::move(stored), data_md5, network_->now(),
-                info);
+  state.mirror.write_to(store_, object_key, rec, network_->now());
   journal_evidence("dyn-nro", h.txn_id, h.sender, object_key,
                    state.chunk_size, h, *nro);
   send_receipt(h.sender, h.txn_id, nr::MsgType::kMutateReceipt,
@@ -445,10 +358,10 @@ void DynProviderActor::handle_agg_challenge(const nr::NrMessage& message) {
   if (!record) return;
   const std::vector<Bytes> served =
       split_chunks(record->data, state.chunk_size);
-  const bool matches_mirror = served == state.chunks;
+  const bool matches_mirror = served == state.mirror.chunks;
   DynMerkleTree rebuilt;
   if (!matches_mirror) rebuilt = DynMerkleTree::build(chunk_views(served));
-  const DynMerkleTree& tree = matches_mirror ? state.tree : rebuilt;
+  const DynMerkleTree& tree = matches_mirror ? state.mirror.tree : rebuilt;
   std::vector<std::uint64_t> tags = state.tags;
   tags.resize(served.size(), 0);  // length-match; a diverged store fails anyway
 

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "dyn/dyn_merkle.h"
+#include "dyn/chunk_mirror.h"
 #include "dyn/por_tags.h"
 #include "dyn/version_chain.h"
 #include "nr/actor.h"
@@ -41,8 +41,7 @@ class DynProviderActor final : public nr::NrActor {
     std::string txn_id;
     std::string client;  ///< who may mutate (the storing identity)
     std::size_t chunk_size = 0;
-    std::vector<Bytes> chunks;  ///< committed mirror (commit-path checks)
-    DynMerkleTree tree;
+    ChunkMirror mirror;  ///< committed chunks + tree (commit-path checks)
     std::vector<std::uint64_t> tags;
     VersionChain chain;  ///< the provider's copy (countersigned records)
   };
@@ -77,8 +76,8 @@ class DynProviderActor final : public nr::NrActor {
   void handle_mutate(const nr::NrMessage& message);
   void handle_agg_challenge(const nr::NrMessage& message);
 
-  /// Countersigns `record`‖`client_sig` and sends the receipt carrying the
-  /// full SignedVersionRecord back to `client`.
+  /// Sends the receipt carrying the countersigned SignedVersionRecord back
+  /// to `client`.
   void send_receipt(const std::string& client, const std::string& txn_id,
                     nr::MsgType flag, const SignedVersionRecord& rec);
   void send_mutate_error(const std::string& client, const std::string& txn_id,

@@ -28,6 +28,12 @@ std::string mutate_op_name(MutateOp op) {
   return "?";
 }
 
+bool index_fits(MutateOp op, std::uint64_t index, std::uint64_t count) {
+  if (op == MutateOp::kAppend) return index == count;
+  if (op == MutateOp::kInsert) return index <= count;
+  return op != MutateOp::kStore && index < count;  // update, erase
+}
+
 Bytes VersionRecord::encode() const {
   common::BinaryWriter w;
   w.str("tpnr.dyn.version.v1");  // domain separation from other signed blobs
@@ -66,6 +72,11 @@ VersionRecord VersionRecord::decode(BytesView data) {
 
 Bytes VersionRecord::hash() const { return crypto::sha256(encode()); }
 
+bool VersionRecord::matches(const DynMerkleTree& tree) const {
+  return tree.leaf_count() == chunk_count &&
+         common::constant_time_equal(tree.root(), new_root);
+}
+
 const Bytes& VersionRecord::genesis_link() {
   static const Bytes zeros(32, 0);
   return zeros;
@@ -89,6 +100,26 @@ SignedVersionRecord SignedVersionRecord::decode(BytesView data) {
   return out;
 }
 
+namespace {
+
+/// What the provider countersigns: the encoded record ‖ client_sig.
+Bytes countersigned_message(BytesView encoded_record, BytesView client_sig) {
+  return common::concat({encoded_record, client_sig});
+}
+
+}  // namespace
+
+void SignedVersionRecord::countersign(const pki::Identity& provider) {
+  provider_sig =
+      provider.sign(countersigned_message(record.encode(), client_sig));
+}
+
+bool SignedVersionRecord::same_submission(const VersionRecord& other,
+                                          BytesView other_client_sig) const {
+  return common::constant_time_equal(record.encode(), other.encode()) &&
+         common::constant_time_equal(client_sig, other_client_sig);
+}
+
 bool SignedVersionRecord::verify_client(
     const crypto::RsaPublicKey& client) const {
   return pki::Identity::verify(client, record.encode(), client_sig);
@@ -96,9 +127,9 @@ bool SignedVersionRecord::verify_client(
 
 bool SignedVersionRecord::verify_provider(
     const crypto::RsaPublicKey& provider) const {
-  const Bytes countersigned =
-      common::concat({BytesView(record.encode()), BytesView(client_sig)});
-  return pki::Identity::verify(provider, countersigned, provider_sig);
+  return pki::Identity::verify(
+      provider, countersigned_message(record.encode(), client_sig),
+      provider_sig);
 }
 
 bool SignedVersionRecord::verify(const crypto::RsaPublicKey& client,
@@ -151,30 +182,26 @@ bool extends_head(const VersionRecord& rec, std::uint64_t head_version,
   if (rec.chunk_count != expect_count) {
     return fail(why, "chunk_count inconsistent with op");
   }
-  if (rec.op == MutateOp::kAppend && rec.chunk_index != head_chunk_count) {
-    return fail(why, "append index must equal previous chunk_count");
-  }
-  if ((rec.op == MutateOp::kUpdate || rec.op == MutateOp::kErase) &&
-      rec.chunk_index >= head_chunk_count) {
-    return fail(why, "chunk_index out of range");
-  }
-  if (rec.op == MutateOp::kInsert && rec.chunk_index > head_chunk_count) {
-    return fail(why, "insert index out of range");
+  if (rec.op != MutateOp::kStore &&
+      !index_fits(rec.op, rec.chunk_index, head_chunk_count)) {
+    return fail(why, mutate_op_name(rec.op) + " index out of range");
   }
   return true;
 }
 
 }  // namespace
 
-bool VersionChain::append(SignedVersionRecord rec, std::string* why) {
+bool VersionChain::extends(const VersionRecord& rec, std::string* why) const {
   if (!records_.empty() &&
-      rec.record.object_key != records_.front().record.object_key) {
+      rec.object_key != records_.front().record.object_key) {
     return fail(why, "record for a different object");
   }
-  if (!extends_head(rec.record, head_version(), head_root(),
-                    head_chunk_count(), head_hash(), why)) {
-    return false;
-  }
+  return extends_head(rec, head_version(), head_root(), head_chunk_count(),
+                      head_hash(), why);
+}
+
+bool VersionChain::append(SignedVersionRecord rec, std::string* why) {
+  if (!extends(rec.record, why)) return false;
   records_.push_back(std::move(rec));
   return true;
 }
@@ -195,6 +222,23 @@ std::uint64_t VersionChain::head_chunk_count() const noexcept {
 Bytes VersionChain::head_hash() const {
   return records_.empty() ? VersionRecord::genesis_link()
                           : records_.back().record.hash();
+}
+
+VersionRecord VersionChain::next_record(const std::string& object_key,
+                                        MutateOp op, std::uint64_t index,
+                                        const DynMerkleTree& after,
+                                        std::uint64_t chunk_tag) const {
+  VersionRecord record;
+  record.object_key = object_key;
+  record.version = head_version() + 1;
+  record.op = op;
+  record.chunk_index = index;
+  record.chunk_count = after.leaf_count();
+  record.old_root = head_root();
+  record.new_root = after.root();
+  record.chunk_tag = chunk_tag;
+  record.prev_record_hash = head_hash();
+  return record;
 }
 
 std::optional<std::uint64_t> VersionChain::version_of_root(
@@ -264,8 +308,8 @@ ChainWalkResult walk_chain(std::span<const SignedVersionRecord> records,
       break;
     }
     encoded[i] = rec.encode();
-    countersigned[i] = common::concat(
-        {BytesView(encoded[i]), BytesView(records[i].client_sig)});
+    countersigned[i] =
+        countersigned_message(encoded[i], records[i].client_sig);
     head_version = rec.version;
     head_root = rec.new_root;
     head_count = rec.chunk_count;

@@ -24,10 +24,16 @@
 #include "common/bytes.h"
 #include "crypto/rsa.h"
 
+namespace tpnr::pki {
+class Identity;
+}
+
 namespace tpnr::dyn {
 
 using common::Bytes;
 using common::BytesView;
+
+class DynMerkleTree;
 
 /// The mutation kinds a version record can commit.
 enum class MutateOp : std::uint8_t {
@@ -38,6 +44,11 @@ enum class MutateOp : std::uint8_t {
   kErase = 5,   ///< remove chunk `chunk_index`
 };
 std::string mutate_op_name(MutateOp op);
+
+/// The index rule: whether `op` may target chunk `index` of an object with
+/// `count` chunks — update/erase an existing chunk, insert at 0..count,
+/// append exactly at count. kStore targets no chunk (false).
+bool index_fits(MutateOp op, std::uint64_t index, std::uint64_t count);
 
 /// One link of the version chain. `version` is the object version AFTER the
 /// op; the first record (kStore) creates version 1 with an all-zero
@@ -58,6 +69,8 @@ struct VersionRecord {
   static VersionRecord decode(BytesView data);
   /// SHA-256 over encode() — what the next record links to.
   [[nodiscard]] Bytes hash() const;
+  /// Whether `tree` has this record's chunk_count and new_root.
+  [[nodiscard]] bool matches(const DynMerkleTree& tree) const;
 
   /// The 32-zero-byte link the first record carries.
   static const Bytes& genesis_link();
@@ -71,6 +84,13 @@ struct SignedVersionRecord {
 
   [[nodiscard]] Bytes encode() const;
   static SignedVersionRecord decode(BytesView data);
+
+  /// Sets provider_sig to `provider`'s signature over record‖client_sig.
+  void countersign(const pki::Identity& provider);
+  /// Whether `other` under `other_client_sig` is the submission this
+  /// commits: a matching resubmission is a retry, any other a conflict.
+  [[nodiscard]] bool same_submission(const VersionRecord& other,
+                                     BytesView other_client_sig) const;
 
   [[nodiscard]] bool verify_client(const crypto::RsaPublicKey& client) const;
   [[nodiscard]] bool verify_provider(
@@ -86,8 +106,12 @@ struct SignedVersionRecord {
 /// drift silently.
 class VersionChain {
  public:
-  /// Appends if the record extends the head consistently; otherwise returns
-  /// false and (if non-null) explains in `why`.
+  /// Whether `rec` extends the head consistently (same object, next
+  /// version, linked old_root and hash, count and index fit the op);
+  /// otherwise false, explained in `why` if non-null.
+  [[nodiscard]] bool extends(const VersionRecord& rec,
+                             std::string* why = nullptr) const;
+  /// Appends `rec` if it extends() the head; otherwise returns false.
   bool append(SignedVersionRecord rec, std::string* why = nullptr);
 
   [[nodiscard]] const std::vector<SignedVersionRecord>& records()
@@ -103,6 +127,13 @@ class VersionChain {
   [[nodiscard]] std::uint64_t head_chunk_count() const noexcept;
   /// genesis_link() for an empty chain.
   [[nodiscard]] Bytes head_hash() const;
+
+  /// The record committing `op` at `index` on top of the head, given the
+  /// tree after the op. On an empty chain that is the version-1 kStore.
+  [[nodiscard]] VersionRecord next_record(const std::string& object_key,
+                                          MutateOp op, std::uint64_t index,
+                                          const DynMerkleTree& after,
+                                          std::uint64_t chunk_tag = 0) const;
 
   /// The version whose new_root equals `root`, if any — the rollback check:
   /// a served root matching an OLDER committed version is a revert, not

@@ -133,8 +133,9 @@ ForkTrialOutcome run_fork_trial(std::uint64_t seed, bool forked) {
   outcome.accusations = alice.forks_detected() + carol.forks_detected();
   outcome.alice_head = alice_obj->chain.head_version();
   outcome.carol_head = carol_obj->chain.head_version();
-  outcome.mirrors_equal = alice_obj->chunks == carol_obj->chunks &&
-                          alice_obj->tree.root() == carol_obj->tree.root();
+  outcome.mirrors_equal =
+      alice_obj->mirror.chunks == carol_obj->mirror.chunks &&
+      alice_obj->mirror.tree.root() == carol_obj->mirror.tree.root();
 
   const EquivocationProof* proof = alice.fork_proof("obj");
   if (proof == nullptr) proof = carol.fork_proof("obj");

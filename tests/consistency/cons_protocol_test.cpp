@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "audit/auditor.h"
+#include "common/serial.h"
 #include "consistency/arbitration.h"
 #include "consistency/client.h"
 #include "consistency/provider.h"
 #include "crypto/drbg.h"
 #include "net/network.h"
+#include "nr/evidence.h"
 
 namespace tpnr::consistency {
 namespace {
@@ -27,13 +29,53 @@ const pki::Identity& pooled(const std::string& name) {
   static const auto* pool = [] {
     auto* identities = new std::map<std::string, pki::Identity>();
     crypto::Drbg rng(std::uint64_t{73737});
-    for (const char* id : {"alice", "carol", "bob", "auditor"}) {
+    for (const char* id : {"alice", "carol", "bob", "auditor", "dave"}) {
       identities->emplace(id, pki::Identity(id, 1024, rng));
     }
     return identities;
   }();
   return pool->at(name);
 }
+
+/// Sends hand-built kConsOpRequests — ops a ConsClientActor would refuse
+/// to build — and keeps the reasons of the provider's kConsOpError replies.
+class RawSubmitter final : public nr::NrActor {
+ public:
+  using NrActor::NrActor;
+
+  void submit(const std::string& provider, const dyn::SignedVersionRecord& rec,
+              BytesView chunk, std::size_t chunk_size,
+              const Bytes& observed_head) {
+    common::BinaryWriter payload;
+    payload.str(rec.record.object_key);
+    payload.u8(static_cast<std::uint8_t>(rec.record.op));
+    payload.u64(rec.record.chunk_index);
+    payload.bytes(chunk);
+    payload.u32(static_cast<std::uint32_t>(chunk_size));
+    payload.bytes(rec.record.encode());
+    payload.bytes(rec.client_sig);
+    payload.bytes(observed_head);
+    nr::NrMessage message;
+    message.header =
+        next_header(nr::MsgType::kConsOpRequest, provider, "ttp", "raw",
+                    rec.record.new_root, network_->now() + common::kSecond);
+    message.evidence = nr::make_evidence(*identity_, *peer_key(provider),
+                                         message.header, *rng_);
+    message.payload = payload.take();
+    send(provider, std::move(message));
+  }
+
+  std::vector<std::string> errors;
+
+ protected:
+  void on_message(const nr::NrMessage& message) override {
+    if (message.header.flag != nr::MsgType::kConsOpError) return;
+    common::BinaryReader r(message.payload);
+    (void)r.str();  // object key
+    (void)r.u64();  // version
+    errors.push_back(r.str());
+  }
+};
 
 class ConsProtocolTest : public ::testing::Test {
  protected:
@@ -114,7 +156,7 @@ TEST_F(ConsProtocolTest, StoreSharedCommitsGlobalPositionOne) {
   ASSERT_TRUE(obj->checker.has_value());
   EXPECT_EQ(obj->checker->view().head_seq(), 1u);
   EXPECT_EQ(obj->checker->view().at(1)->view.client, "alice");
-  EXPECT_EQ(obj->chain.head_root(), obj->tree.root());
+  EXPECT_EQ(obj->chain.head_root(), obj->mirror.tree.root());
 
   const auto* state = bob_.object_state("doc");
   ASSERT_NE(state, nullptr);
@@ -131,8 +173,8 @@ TEST_F(ConsProtocolTest, OpenSharedReplaysTheLogFromGenesis) {
   const auto* alice_obj = alice_.object("doc");
   const auto* carol_obj = carol_.object("doc");
   EXPECT_EQ(carol_obj->chain.head_version(), alice_obj->chain.head_version());
-  EXPECT_EQ(carol_obj->tree.root(), alice_obj->tree.root());
-  EXPECT_EQ(carol_obj->chunks, alice_obj->chunks);
+  EXPECT_EQ(carol_obj->mirror.tree.root(), alice_obj->mirror.tree.root());
+  EXPECT_EQ(carol_obj->mirror.chunks, alice_obj->mirror.chunks);
   EXPECT_EQ(carol_obj->checker->view().head_hash(),
             alice_obj->checker->view().head_hash());
   EXPECT_EQ(carol_obj->chunk_size, kChunkSize);
@@ -155,8 +197,8 @@ TEST_F(ConsProtocolTest, InterleavedClientsShareOneGlobalOrder) {
   const auto* carol_obj = carol_.object("doc");
   EXPECT_EQ(alice_obj->chain.head_version(), 5u);
   EXPECT_EQ(carol_obj->chain.head_version(), 5u);
-  EXPECT_EQ(alice_obj->tree.root(), carol_obj->tree.root());
-  EXPECT_EQ(alice_obj->chunks, carol_obj->chunks);
+  EXPECT_EQ(alice_obj->mirror.tree.root(), carol_obj->mirror.tree.root());
+  EXPECT_EQ(alice_obj->mirror.chunks, carol_obj->mirror.chunks);
   EXPECT_EQ(alice_obj->receipts, 3u);  // store + two mutations
   EXPECT_EQ(carol_obj->receipts, 2u);
   EXPECT_EQ(alice_obj->rejected, 0u);
@@ -232,9 +274,39 @@ TEST_F(ConsProtocolTest, StaleSubmissionCatchesUpAndResubmits) {
   EXPECT_EQ(carol_obj->rejected, 0u);
   EXPECT_EQ(carol_obj->receipts, 1u);
   EXPECT_EQ(carol_obj->chain.head_version(), 3u);
-  EXPECT_EQ(carol_obj->tree.root(), alice_.object("doc")->tree.root());
+  EXPECT_EQ(carol_obj->mirror.tree.root(),
+            alice_.object("doc")->mirror.tree.root());
   EXPECT_GE(bob_.ops_rejected(), 1u);  // the stale bounce
   EXPECT_FALSE(carol_obj->checker->forked());  // lag is never a fork
+}
+
+TEST_F(ConsProtocolTest, AppendOffTheLeafCountIsRejected) {
+  shared_object("doc", 4);
+  pki::Identity dave_id(pooled("dave"));
+  RawSubmitter dave("dave", network_, dave_id, rng_);
+  dave.trust_peer("bob", bob_id_.public_key());
+  bob_.trust_peer("dave", dave_id.public_key());
+
+  // A client-signed kAppend at index count-1. It is in range for an insert
+  // and claims exactly the insert's root, but an append must land at the
+  // leaf count — the chunk-op rule the dyn provider already enforced.
+  const auto* obj = alice_.object("doc");
+  const std::uint64_t count = obj->mirror.tree.leaf_count();
+  const Bytes chunk = crypto::Drbg(std::uint64_t{66}).bytes(kChunkSize);
+  dyn::SignedVersionRecord rec;
+  rec.record = obj->chain.next_record(
+      "doc", dyn::MutateOp::kAppend, count - 1,
+      obj->mirror.tree_after(dyn::MutateOp::kInsert, count - 1, chunk));
+  rec.client_sig = dave_id.sign(rec.record.encode());
+  dave.submit("bob", rec, chunk, kChunkSize,
+              obj->checker->view().head_hash());
+  network_.run();
+
+  ASSERT_EQ(dave.errors.size(), 1u);
+  EXPECT_EQ(dave.errors[0],
+            dyn::chunk_op_fault_name(dyn::ChunkOpFault::kIndex));
+  EXPECT_EQ(bob_.object_state("doc")->branches[0].chain.head_version(), 1u);
+  EXPECT_EQ(alice_.object("doc")->chain.head_version(), 1u);
 }
 
 TEST_F(ConsProtocolTest, WithheldCommitsTimeOutWithoutAccusation) {

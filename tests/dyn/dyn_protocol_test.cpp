@@ -82,13 +82,13 @@ TEST_F(DynProtocolTest, StoreEstablishesMatchingCountersignedChains) {
   EXPECT_EQ(obj.receipts, 1u);
   EXPECT_FALSE(obj.pending.has_value());
   ASSERT_EQ(obj.chain.head_version(), 1u);
-  EXPECT_EQ(obj.chain.head_root(), obj.tree.root());
+  EXPECT_EQ(obj.chain.head_root(), obj.mirror.tree.root());
 
   const auto* state = bob_.object_state("doc");
   ASSERT_NE(state, nullptr);
   EXPECT_EQ(state->client, "alice");
   EXPECT_EQ(state->chain.head_hash(), obj.chain.head_hash());
-  EXPECT_EQ(state->tree.root(), obj.tree.root());
+  EXPECT_EQ(state->mirror.tree.root(), obj.mirror.tree.root());
   EXPECT_EQ(bob_.store().version_of("doc"), 1u);
 
   // Both chains carry both parties' verifiable signatures.
@@ -117,24 +117,24 @@ TEST_F(DynProtocolTest, AllMutationOpsAdvanceBothMirrorsInLockstep) {
   EXPECT_EQ(obj->rejected, 0u);
   EXPECT_EQ(obj->timeouts, 0u);
   EXPECT_EQ(obj->chain.head_version(), 5u);
-  EXPECT_EQ(obj->chunks.size(), 9u);  // 8 +insert +append −erase
+  EXPECT_EQ(obj->mirror.chunks.size(), 9u);  // 8 +insert +append −erase
 
   const auto* state = bob_.object_state("doc");
   ASSERT_NE(state, nullptr);
   EXPECT_EQ(state->chain.head_hash(), obj->chain.head_hash());
-  EXPECT_EQ(state->tree.root(), obj->tree.root());
-  EXPECT_EQ(state->chunks, obj->chunks);
+  EXPECT_EQ(state->mirror.tree.root(), obj->mirror.tree.root());
+  EXPECT_EQ(state->mirror.chunks, obj->mirror.chunks);
   EXPECT_EQ(state->tags, obj->tags);
   EXPECT_EQ(bob_.store().version_of("doc"), 5u);
 
   // The store's bytes re-slice to exactly the client's mirror.
   const auto record = bob_.store().get("doc");
   ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(split_chunks(record->data, kChunkSize), obj->chunks);
+  EXPECT_EQ(split_chunks(record->data, kChunkSize), obj->mirror.chunks);
 }
 
 TEST_F(DynProtocolTest, RejectedMutationsRevertTheOptimisticMirror) {
-  const Bytes root_before = stored("doc", 8).tree.root();
+  const Bytes root_before = stored("doc", 8).mirror.tree.root();
   crypto::Drbg data_rng(std::uint64_t{43});
 
   // Out-of-range and stride-breaking ops never leave the client.
@@ -150,7 +150,7 @@ TEST_F(DynProtocolTest, RejectedMutationsRevertTheOptimisticMirror) {
   const auto* obj = alice_.object("doc");
   ASSERT_NE(obj, nullptr);
   EXPECT_EQ(obj->chain.head_version(), 2u);
-  EXPECT_NE(obj->tree.root(), root_before);
+  EXPECT_NE(obj->mirror.tree.root(), root_before);
 }
 
 TEST_F(DynProtocolTest, WithheldReceiptsAreRetriedIdempotently) {
@@ -176,18 +176,19 @@ TEST_F(DynProtocolTest, WithheldReceiptsAreRetriedIdempotently) {
   const auto* state = bob_.object_state("doc");
   ASSERT_NE(state, nullptr);
   EXPECT_EQ(state->chain.head_version(), 2u);  // applied exactly once
-  EXPECT_EQ(state->tree.root(), obj->tree.root());
+  EXPECT_EQ(state->mirror.tree.root(), obj->mirror.tree.root());
 }
 
 TEST_F(DynProtocolTest, ExhaustedRetriesRevertToTheChainHead) {
   const auto& obj = stored("doc", 8);
-  const Bytes root_before = obj.tree.root();
-  const std::vector<Bytes> chunks_before = obj.chunks;
+  const Bytes root_before = obj.mirror.tree.root();
+  const std::vector<Bytes> chunks_before = obj.mirror.chunks;
   bob_.set_behavior({.send_receipts = false});
   crypto::Drbg data_rng(std::uint64_t{45});
 
   ASSERT_TRUE(alice_.insert("doc", 3, data_rng.bytes(kChunkSize)));
-  EXPECT_NE(alice_.object("doc")->tree.root(), root_before);  // optimistic
+  EXPECT_NE(alice_.object("doc")->mirror.tree.root(),
+            root_before);  // optimistic
   network_.run();
 
   // All retries timed out: the mirror is back at the countersigned head.
@@ -195,9 +196,9 @@ TEST_F(DynProtocolTest, ExhaustedRetriesRevertToTheChainHead) {
   EXPECT_EQ(obj.receipts, 1u);  // just the store
   EXPECT_FALSE(obj.pending.has_value());
   EXPECT_EQ(obj.chain.head_version(), 1u);
-  EXPECT_EQ(obj.tree.root(), root_before);
-  EXPECT_EQ(obj.tree.root(), obj.chain.head_root());
-  EXPECT_EQ(obj.chunks, chunks_before);
+  EXPECT_EQ(obj.mirror.tree.root(), root_before);
+  EXPECT_EQ(obj.mirror.tree.root(), obj.chain.head_root());
+  EXPECT_EQ(obj.mirror.chunks, chunks_before);
 
   // The provider DID apply it (receipts were only withheld) — the divergence
   // is visible, not silent: its chain is one version ahead.
