@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "common/error.h"
 #include "crypto/counters.h"
@@ -707,13 +708,151 @@ BigInt BigInt::generate_prime(std::size_t bits, Drbg& rng) {
 
 namespace {
 
-// Double-width accumulator for the CIOS inner loops. __extension__ keeps
-// -Wpedantic quiet about the non-standard __int128.
+// Double-width accumulator for the Montgomery inner loops. __extension__
+// keeps -Wpedantic quiet about the non-standard __int128.
 #if defined(__SIZEOF_INT128__)
 __extension__ typedef unsigned __int128 MontDword;
 #else
 typedef std::uint64_t MontDword;
 #endif
+
+/// Montgomery arithmetic over one modulus at one width. W is the limb word;
+/// Width is a std::integral_constant (loop bounds known at compile time) or
+/// std::size_t. Works in caller-owned scratch and counts its products; the
+/// caller publishes the count once.
+template <class W, class Width>
+struct MontKernel {
+  static_assert(sizeof(MontDword) == 2 * sizeof(W));
+  static constexpr unsigned kBits = sizeof(W) * 8;
+
+  const W* n;  ///< modulus, s words
+  W n0;        ///< -n^{-1} mod 2^w
+  Width s;
+  W* t;        ///< scratch, 2s words
+  std::uint64_t products = 0;
+
+  static W lo(MontDword v) { return static_cast<W>(v); }
+  static W hi(MontDword v) { return static_cast<W>(v >> kBits); }
+
+  /// lo(a·b + c + carry), leaving the high word in `carry`. The additions
+  /// run on single words with explicit carries, which compilers keep in
+  /// registers where a double-width sum would spill.
+  static W mac(W a, W b, W c, W& carry) {
+    const MontDword p = static_cast<MontDword>(a) * b;
+    W l = lo(p);
+    W h = hi(p);
+    l += c;
+    h += static_cast<W>(l < c);
+    l += carry;
+    h += static_cast<W>(l < carry);
+    carry = h;
+    return l;
+  }
+
+  /// out = a·b·R^{-1} mod n. CIOS (coarsely integrated operand scanning):
+  /// each outer step adds one partial-product row and one reduction row
+  /// chosen so the low word cancels, fused into one pass; the running sum
+  /// stays below 2n in s+1 words. out may alias a or b.
+  void mul(W* out, const W* a, const W* b) {
+    const std::size_t len = s;
+    std::fill_n(t, len + 1, W{0});
+    for (std::size_t i = 0; i < len; ++i) {
+      const W ai = a[i];
+      W c1 = 0;
+      const W l0 = mac(ai, b[0], t[0], c1);
+      const W m = l0 * n0;
+      W c2 = 0;
+      (void)mac(m, n[0], l0, c2);  // the low word cancels by choice of m
+      for (std::size_t j = 1; j < len; ++j) {
+        t[j - 1] = mac(m, n[j], mac(ai, b[j], t[j], c1), c2);
+      }
+      const MontDword p = static_cast<MontDword>(t[len]) + c1 + c2;
+      t[len - 1] = lo(p);
+      t[len] = hi(p);
+    }
+    finish(out, t, t[len]);
+  }
+
+  /// out = a²·R^{-1} mod n: each off-diagonal product once, doubled, plus
+  /// the diagonal squares, then one reduction. out may alias a.
+  void sqr(W* out, const W* a) {
+    const std::size_t len = s;
+    std::fill_n(t, 2 * len, W{0});
+    for (std::size_t i = 0; i + 1 < len; ++i) {
+      W c = 0;
+      for (std::size_t j = i + 1; j < len; ++j) {
+        t[i + j] = mac(a[i], a[j], t[i + j], c);
+      }
+      t[i + len] = c;
+    }
+    // Double the off-diagonal sum (a shift by one bit carried across words)
+    // while adding a[i]² at words 2i and 2i+1.
+    W shift_in = 0;
+    W c = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      const W lo_w = t[2 * i];
+      const W hi_w = t[2 * i + 1];
+      const MontDword d = static_cast<MontDword>(a[i]) * a[i];
+      MontDword p =
+          static_cast<MontDword>(static_cast<W>(lo_w << 1) | shift_in) +
+          lo(d) + c;
+      t[2 * i] = lo(p);
+      p = static_cast<MontDword>(static_cast<W>(hi_w << 1) |
+                                 (lo_w >> (kBits - 1))) +
+          hi(d) + hi(p);
+      t[2 * i + 1] = lo(p);
+      c = hi(p);
+      shift_in = hi_w >> (kBits - 1);
+    }
+    reduce(out);
+  }
+
+  /// out = a·R^{-1} mod n, leaving Montgomery form. out may alias a.
+  void demote(W* out, const W* a) {
+    const std::size_t len = s;
+    std::copy_n(a, len, t);
+    std::fill_n(t + len, len, W{0});
+    reduce(out);
+  }
+
+  /// out = T·R^{-1} mod n for the T < n·R held in t[0..2s). SOS reduction:
+  /// one reduction row per low word, each row's carry out of the top
+  /// deferred into the next row.
+  void reduce(W* out) {
+    const std::size_t len = s;
+    W top = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      const W m = t[i] * n0;
+      W c = 0;
+      for (std::size_t j = 0; j < len; ++j) {
+        t[i + j] = mac(m, n[j], t[i + j], c);
+      }
+      const MontDword p = static_cast<MontDword>(t[i + len]) + c + top;
+      t[i + len] = lo(p);
+      top = hi(p);
+    }
+    finish(out, t + len, top);
+  }
+
+  /// Every product ends here: out = v + top·2^(w·s), a value below 2n,
+  /// reduced once by n. The difference is computed unconditionally and
+  /// kept unless it borrowed past `top`.
+  void finish(W* out, const W* v, W top) {
+    const std::size_t len = s;
+    W borrow = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+      const W d1 = v[j] - n[j];
+      const W d2 = d1 - borrow;
+      borrow = static_cast<W>((d1 > v[j]) | (d2 > d1));
+      out[j] = d2;
+    }
+    const W keep_v = W{0} - static_cast<W>(borrow > top);
+    for (std::size_t j = 0; j < len; ++j) {
+      out[j] = (v[j] & keep_v) | (out[j] & ~keep_v);
+    }
+    ++products;
+  }
+};
 
 }  // namespace
 
@@ -722,7 +861,9 @@ Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
     throw CryptoError("Montgomery: modulus must be odd and > 1");
   }
   constexpr unsigned kWordBits = sizeof(Word) * 8;
-  n_limbs_ = pad(n_);
+  const std::size_t s = (n_.bit_length() + kWordBits - 1) / kWordBits;
+  n_limbs_.resize(s);
+  load(n_, n_limbs_.data(), s);
   // n0' = -n^{-1} mod 2^w by Newton iteration: x0 = n is correct to 3 bits
   // for odd n, and each step doubles the correct bit count
   // (3 -> 6 -> 12 -> 24 -> 48 -> 96 >= w for both word sizes).
@@ -730,29 +871,33 @@ Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
   for (int i = 0; i < 5; ++i) inv *= Word{2} - n_limbs_[0] * inv;
   n0_ = Word{0} - inv;
   // R^2 mod n for R = 2^(w s): the one division this context ever pays.
-  const std::size_t s = n_limbs_.size();
-  rr_ = pad(BigInt(1).shifted_left(2 * kWordBits * s).mod(n_));
+  rr_.resize(s);
+  load(BigInt(1).shifted_left(2 * kWordBits * s).mod(n_), rr_.data(), s);
 }
 
-Montgomery::Limbs Montgomery::pad(const BigInt& x) const {
-  // Repack the BigInt's 32-bit limbs into Words; for the modulus itself
-  // (n_limbs_ still empty) size to exactly cover it, else to its width.
-  const std::vector<std::uint32_t>& src = x.limbs_;
+void Montgomery::load(const BigInt& x, Word* out, std::size_t s) {
+  // Repack the BigInt's 32-bit limbs into Words.
   constexpr std::size_t kPer = sizeof(Word) / sizeof(std::uint32_t);
-  const std::size_t want = n_limbs_.empty()
-                               ? (src.size() + kPer - 1) / kPer
-                               : n_limbs_.size();
-  Limbs out(want, 0);
+  std::fill_n(out, s, Word{0});
+  const std::vector<std::uint32_t>& src = x.limbs_;
   for (std::size_t i = 0; i < src.size(); ++i) {
     out[i / kPer] |= static_cast<Word>(src[i]) << (32 * (i % kPer));
   }
+}
+
+Montgomery::Limbs Montgomery::operand(const BigInt& x) const {
+  if (x.is_negative() || x.compare(n_) >= 0) {
+    throw CryptoError("Montgomery: operand must lie in [0, n)");
+  }
+  Limbs out(n_limbs_.size());
+  load(x, out.data(), out.size());
   return out;
 }
 
-BigInt Montgomery::unpack(const Limbs& limbs) {
+BigInt Montgomery::unpack(const Word* limbs, std::size_t s) {
   constexpr std::size_t kPer = sizeof(Word) / sizeof(std::uint32_t);
   BigInt out;
-  out.limbs_.resize(limbs.size() * kPer);
+  out.limbs_.resize(s * kPer);
   for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
     out.limbs_[i] =
         static_cast<std::uint32_t>(limbs[i / kPer] >> (32 * (i % kPer)));
@@ -761,77 +906,74 @@ BigInt Montgomery::unpack(const Limbs& limbs) {
   return out;
 }
 
-Montgomery::Limbs Montgomery::mont_mul(const Limbs& a, const Limbs& b) const {
-  // CIOS (coarsely integrated operand scanning): each outer step adds one
-  // partial product row, then folds in one reduction row chosen so the low
-  // word cancels — the running sum stays at s+2 words and the final value is
-  // a·b·R^{-1} mod n (up to one conditional subtract).
-  constexpr unsigned kWordBits = sizeof(Word) * 8;
+BigInt Montgomery::product(const Limbs& a, const Limbs& b) const {
   const std::size_t s = n_limbs_.size();
-  Limbs t(s + 2, 0);
-  for (std::size_t i = 0; i < s; ++i) {
-    const Word ai = a[i];
-    Word carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const MontDword sum =
-          static_cast<MontDword>(ai) * b[j] + t[j] + carry;
-      t[j] = static_cast<Word>(sum);
-      carry = static_cast<Word>(sum >> kWordBits);
-    }
-    MontDword sum = static_cast<MontDword>(t[s]) + carry;
-    t[s] = static_cast<Word>(sum);
-    t[s + 1] = static_cast<Word>(sum >> kWordBits);
-
-    const Word m = t[0] * n0_;
-    sum = static_cast<MontDword>(m) * n_limbs_[0] + t[0];
-    carry = static_cast<Word>(sum >> kWordBits);
-    for (std::size_t j = 1; j < s; ++j) {
-      const MontDword sum2 =
-          static_cast<MontDword>(m) * n_limbs_[j] + t[j] + carry;
-      t[j - 1] = static_cast<Word>(sum2);
-      carry = static_cast<Word>(sum2 >> kWordBits);
-    }
-    sum = static_cast<MontDword>(t[s]) + carry;
-    t[s - 1] = static_cast<Word>(sum);
-    t[s] = t[s + 1] + static_cast<Word>(sum >> kWordBits);
-  }
-  // t[0..s] < 2n with t[s] in {0, 1}; one conditional subtract normalizes.
-  bool ge = t[s] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t j = s; j-- > 0;) {
-      if (t[j] != n_limbs_[j]) {
-        ge = t[j] > n_limbs_[j];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    Word borrow = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const Word d1 = t[j] - n_limbs_[j];
-      const Word d2 = d1 - borrow;
-      borrow = static_cast<Word>((d1 > t[j]) || (d2 > d1));
-      t[j] = d2;
-    }
-  }
-  t.resize(s);
-  counters().mont_modmuls.fetch_add(1, std::memory_order_relaxed);
-  return t;
+  Limbs ws(3 * s);
+  MontKernel<Word, std::size_t> k{n_limbs_.data(), n0_, s, ws.data() + s};
+  k.mul(ws.data(), a.data(), b.data());
+  counters().mont_modmuls.fetch_add(k.products, std::memory_order_relaxed);
+  return unpack(ws.data(), s);
 }
 
 BigInt Montgomery::to_mont(const BigInt& x) const {
-  return unpack(mont_mul(pad(x), rr_));
+  return product(operand(x), rr_);
 }
 
 BigInt Montgomery::from_mont(const BigInt& x) const {
   Limbs one(n_limbs_.size(), 0);
   one[0] = 1;
-  return unpack(mont_mul(pad(x), one));
+  return product(operand(x), one);
 }
 
 BigInt Montgomery::mul(const BigInt& a, const BigInt& b) const {
-  return unpack(mont_mul(pad(a), pad(b)));
+  return product(operand(a), operand(b));
+}
+
+template <class Width>
+BigInt Montgomery::pow_at(Width s, const BigInt& base,
+                          const BigInt& exp) const {
+  const std::size_t len = s;
+  const std::size_t bits = exp.bit_length();
+  // Small exponents (every verify: e = 65537) take a left-to-right binary
+  // ladder; a window table would cost more than it saves.
+  const bool windowed = bits > 20;
+  // The one workspace: table rows (row 0 = R mod n, row i = base^i in
+  // Montgomery form; the binary ladder needs only row 1), the accumulator,
+  // and the kernel's 2s scratch words.
+  const std::size_t rows = windowed ? 16 : 2;
+  Limbs ws((rows + 3) * len);
+  Word* const table = ws.data();
+  Word* const b = table + len;
+  Word* const acc = table + rows * len;
+  MontKernel<Word, Width> k{n_limbs_.data(), n0_, s, acc + len};
+  load(base.mod(n_), b, len);
+  k.mul(b, b, rr_.data());
+  if (!windowed) {
+    std::copy_n(b, len, acc);
+    for (std::size_t i = bits - 1; i-- > 0;) {
+      k.sqr(acc, acc);
+      if (exp.bit(i)) k.mul(acc, acc, b);
+    }
+  } else {
+    // 4-bit fixed window, the same shape as the classic ladder.
+    table[0] = 1;
+    k.mul(table, table, rr_.data());  // R mod n == to_mont(1)
+    for (std::size_t i = 2; i < 16; ++i) {
+      k.mul(table + i * len, table + (i - 1) * len, b);
+    }
+    std::copy_n(table, len, acc);
+    for (std::size_t w = (bits + 3) / 4; w-- > 0;) {
+      for (int i = 0; i < 4; ++i) k.sqr(acc, acc);
+      std::size_t nibble = 0;
+      for (std::size_t i = 4; i-- > 0;) {
+        nibble = (nibble << 1) | (exp.bit(4 * w + i) ? 1u : 0u);
+      }
+      if (nibble != 0) k.mul(acc, acc, table + nibble * len);
+    }
+  }
+  k.demote(acc, acc);
+  counters().mont_modmuls.fetch_add(k.products, std::memory_order_relaxed);
+  return unpack(acc, len);
 }
 
 BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
@@ -839,45 +981,14 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
     throw CryptoError("Montgomery::pow: negative exponent");
   }
   if (exp.is_zero()) return BigInt(1);
-  const BigInt reduced = base.mod(n_);
-  const Limbs base_m = mont_mul(pad(reduced), rr_);
-  const std::size_t bits = exp.bit_length();
-  Limbs acc;
-  if (bits <= 20) {
-    // Small exponents (every verify: e = 65537) — left-to-right binary; a
-    // window table would cost more than the ladder saves.
-    acc = base_m;
-    for (std::size_t i = bits - 1; i-- > 0;) {
-      acc = mont_mul(acc, acc);
-      if (exp.bit(i)) acc = mont_mul(acc, base_m);
-    }
-  } else {
-    // 4-bit fixed window, the same shape as the classic ladder.
-    Limbs one_m(n_limbs_.size(), 0);
-    one_m[0] = 1;
-    one_m = mont_mul(one_m, rr_);  // R mod n == to_mont(1)
-    std::vector<Limbs> table(16);
-    table[0] = one_m;
-    table[1] = base_m;
-    for (std::size_t i = 2; i < 16; ++i) {
-      table[i] = mont_mul(table[i - 1], base_m);
-    }
-    const std::size_t windows = (bits + 3) / 4;
-    acc = one_m;
-    for (std::size_t w = windows; w-- > 0;) {
-      for (int i = 0; i < 4; ++i) acc = mont_mul(acc, acc);
-      std::uint32_t nibble = 0;
-      for (int i = 3; i >= 0; --i) {
-        nibble = (nibble << 1) |
-                 static_cast<std::uint32_t>(
-                     exp.bit(4 * w + static_cast<std::size_t>(i)) ? 1 : 0);
-      }
-      if (nibble != 0) acc = mont_mul(acc, table[nibble]);
-    }
+  switch (n_limbs_.size()) {
+    case 8:
+      return pow_at(std::integral_constant<std::size_t, 8>{}, base, exp);
+    case 16:
+      return pow_at(std::integral_constant<std::size_t, 16>{}, base, exp);
+    default:
+      return pow_at(n_limbs_.size(), base, exp);
   }
-  Limbs one(n_limbs_.size(), 0);
-  one[0] = 1;
-  return unpack(mont_mul(acc, one));
 }
 
 }  // namespace tpnr::crypto

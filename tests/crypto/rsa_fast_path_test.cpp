@@ -1,8 +1,9 @@
 // The RSA fast path must be a pure speedup: Montgomery/CIOS modexp, CRT
 // signing and batched verification all have to be bit-for-bit identical to
 // the classic big-integer path they replace. These tests pin that down with
-// randomized equivalence sweeps (512/1024/2048-bit), sign/verify round
-// trips checked against BigInt::mod_pow_classic as the oracle,
+// randomized equivalence sweeps (512/1024/2048-bit, plus moduli from one
+// to 32 words), sign/verify round trips checked against
+// BigInt::mod_pow_classic as the oracle, exact product counts,
 // corrupted-signature rejection, and the rsa_verify_many / verify-memo
 // interplay.
 #include <gtest/gtest.h>
@@ -69,6 +70,106 @@ TEST(MontgomeryEquivalence, PowMatchesClassicModPowOnRandomOperands) {
           << bits << "-bit modulus, iteration " << i;
     }
   }
+}
+
+// Moduli of 1, 7, 8, 9, 13, 16, 17 and 32 64-bit words: the instantiated
+// widths (8 and 16), their neighbours, and the generic width from one word
+// to 2048 bits. Each width gets a random modulus and a top-heavy one just
+// below 2^(64 words), where intermediate sums overflow into the carry word
+// and the final conditional subtract runs often.
+TEST(MontgomeryEquivalence, PowMatchesClassicAcrossWidths) {
+  Drbg rng(std::uint64_t{0x51de});
+  for (const std::size_t words : {1, 7, 8, 9, 13, 16, 17, 32}) {
+    const std::size_t bits = 64 * words;
+    const auto gap = static_cast<std::int64_t>(2 * (rng.next_u64() % 1000) + 1);
+    const BigInt top_heavy = BigInt(1).shifted_left(bits) - BigInt(gap);
+    for (const BigInt& m : {random_odd_modulus(bits, rng), top_heavy}) {
+      const Montgomery mont(m);
+      std::vector<BigInt> bases = {BigInt(0), BigInt(1), m - BigInt(1),
+                                   m - BigInt(2), BigInt::random_below(m, rng),
+                                   BigInt::random_below(m, rng)};
+      // Top-heavy bases: within 2^64 of n.
+      bases.push_back(m - BigInt::random_bits(64, rng).mod(m - BigInt(1)) -
+                      BigInt(1));
+      for (const BigInt& base : bases) {
+        for (const BigInt& exp :
+             {BigInt(2), BigInt(65537), BigInt::random_bits(bits, rng)}) {
+          EXPECT_EQ(mont.pow(base, exp).compare(base.mod_pow_classic(exp, m)),
+                    0)
+              << words << " words, base " << base.to_hex() << ", exp "
+              << exp.to_hex();
+        }
+        // pow(x, 2) is one squaring between the conversions; it agrees
+        // with the general product.
+        const BigInt x = mont.to_mont(base);
+        const BigInt x_times_x = mont.from_mont(mont.mul(x, x));
+        EXPECT_EQ(mont.pow(base, BigInt(2)).compare(x_times_x), 0)
+            << words << " words, base " << base.to_hex();
+      }
+    }
+  }
+}
+
+TEST(MontgomeryEquivalence, OperandsOutsideTheResidueRangeAreRejected) {
+  // An operand wider than n would overrun the s-word limb buffer, so every
+  // single-product call rejects anything outside [0, n).
+  const Montgomery mont(BigInt(0xf1));
+  const BigInt wide = BigInt(1).shifted_left(200);
+  EXPECT_THROW((void)mont.to_mont(wide), CryptoError);
+  EXPECT_THROW((void)mont.from_mont(wide), CryptoError);
+  EXPECT_THROW((void)mont.mul(wide, BigInt(1)), CryptoError);
+  EXPECT_THROW((void)mont.mul(BigInt(1), wide), CryptoError);
+  EXPECT_THROW((void)mont.to_mont(BigInt(0xf1)), CryptoError);  // x == n
+  EXPECT_THROW((void)mont.to_mont(BigInt(-1)), CryptoError);
+  // pow reduces its base first, so a wide base is fine there.
+  EXPECT_EQ(mont.pow(wide, BigInt(3)).compare(
+                wide.mod_pow_classic(BigInt(3), BigInt(0xf1))),
+            0);
+  EXPECT_EQ(mont.from_mont(mont.to_mont(BigInt(0xf0))).compare(BigInt(0xf0)),
+            0);
+}
+
+// crypto.modmuls_per_op is read off mont_modmuls; pin exactly what one
+// exponentiation adds so the metric cannot drift silently.
+TEST(MontgomeryEquivalence, PowCountsEveryProductOnce) {
+  Drbg rng(std::uint64_t{0xc0de});
+  const BigInt m = random_odd_modulus(512, rng);
+  const Montgomery mont(m);
+  const BigInt base = BigInt::random_below(m, rng);
+  const auto delta = [&](const BigInt& exp) {
+    const std::uint64_t before = counters().mont_modmuls.load();
+    (void)mont.pow(base, exp);
+    return counters().mont_modmuls.load() - before;
+  };
+  // Binary ladder (<= 20 bits): to-Montgomery, one square per bit below the
+  // top, one multiply per set bit below the top, from-Montgomery.
+  for (const std::int64_t e : {1, 2, 3, 17, 65537, (1 << 20) - 1}) {
+    const BigInt exp(e);
+    std::uint64_t ones = 0;
+    for (std::size_t i = 0; i < exp.bit_length(); ++i) ones += exp.bit(i);
+    EXPECT_EQ(delta(exp), 1 + (exp.bit_length() - 1) + (ones - 1) + 1)
+        << "exp " << e;
+  }
+  // 4-bit window: to-Montgomery, R mod n, table rows 2..15, four squares
+  // per window, one multiply per non-zero nibble, from-Montgomery.
+  for (const BigInt& exp : {BigInt(1 << 20), BigInt::random_bits(21, rng),
+                            BigInt::random_bits(512, rng),
+                            BigInt::random_bits(1021, rng)}) {
+    const std::size_t windows = (exp.bit_length() + 3) / 4;
+    std::uint64_t nonzero = 0;
+    for (std::size_t w = 0; w < windows; ++w) {
+      bool any = false;
+      for (std::size_t i = 0; i < 4; ++i) any = any || exp.bit(4 * w + i);
+      nonzero += any;
+    }
+    EXPECT_EQ(delta(exp), 1 + 1 + 14 + 4 * windows + nonzero + 1)
+        << "exp " << exp.to_hex();
+  }
+  // x^0 = 1 without a product; each single-product call counts one.
+  EXPECT_EQ(delta(BigInt(0)), 0u);
+  const std::uint64_t before = counters().mont_modmuls.load();
+  (void)mont.mul(mont.to_mont(base), mont.from_mont(base));
+  EXPECT_EQ(counters().mont_modmuls.load() - before, 3u);
 }
 
 TEST(MontgomeryEquivalence, MulAndConversionRoundTrip) {
