@@ -21,6 +21,8 @@
 #include "crypto/merkle.h"
 #include "crypto/rsa.h"
 #include "crypto/shamir.h"
+#include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/sha256_mb.h"
 #include "crypto/verify_memo.h"
 #include "nr/evidence.h"
@@ -394,7 +396,66 @@ void print_batch_leaf_speedup() {
   }
   json.field("best_speedup", best_speedup, 2);
   json.field("meets_2x", best_speedup >= 2.0);
+  // For comparison only (not a lane engine, not in best_speedup): the same
+  // leaves one at a time through the single-stream SHA-NI kernel.
+  if (const crypto::detail::Sha256BlockFn shani =
+          crypto::detail::sha256_shani_kernel()) {
+    const double ms = best_of_ms(3, [&] {
+      for (const common::BytesView chunk : chunks) {
+        crypto::Sha256 h(shani);
+        h.update(common::BytesView(&leaf_tag, 1));
+        h.update(chunk);
+        benchmark::DoNotOptimize(h.finish());
+      }
+    });
+    rows.push_back({"sha_ni (1-stream)", "1", bench::fmt(ms),
+                    bench::fmt(scalar_ms > 0 ? scalar_ms / ms : 0) + "x"});
+    json.field("sha_ni_ms", ms, 3);
+  }
   bench::print_table("Batch Merkle-leaf hashing (2048 x 4 KiB, tagged)", rows);
+  json.print();
+}
+
+// Single-stream SHA-256 of one 256 KiB object (the whole-object hash every
+// TPNR hop takes) on the portable rounds and on the dispatched kernel. CI
+// gates on kernels_agree.
+void print_sha256_single() {
+  crypto::Drbg rng(std::uint64_t{23});
+  const common::Bytes object = rng.bytes(256 * 1024);
+  const auto run = [&](crypto::detail::Sha256BlockFn kernel) {
+    crypto::Sha256 h(kernel);
+    h.update(object);
+    return h.finish();
+  };
+  const crypto::detail::Sha256BlockFn portable =
+      &crypto::detail::sha256_blocks_portable;
+  const crypto::detail::Sha256BlockFn dispatched =
+      crypto::detail::sha256_dispatched_kernel();
+  constexpr int kPasses = 16;
+  const auto mib_per_s = [&](crypto::detail::Sha256BlockFn kernel) {
+    const double ms = best_of_ms(3, [&] {
+      for (int i = 0; i < kPasses; ++i) benchmark::DoNotOptimize(run(kernel));
+    });
+    return kPasses * 0.25 / (ms / 1000.0);
+  };
+  const double portable_mib_s = mib_per_s(portable);
+  const double dispatched_mib_s = mib_per_s(dispatched);
+  const bool agree = run(portable) == run(dispatched) &&
+                     run(dispatched) == crypto::sha256(object);
+
+  bench::JsonLine json("crypto_sha256_single");
+  json.field("object_bytes", static_cast<std::uint64_t>(object.size()));
+  json.field("kernel", crypto::sha256_kernel_name());
+  json.field("portable_mib_per_s", portable_mib_s, 1);
+  json.field("dispatched_mib_per_s", dispatched_mib_s, 1);
+  json.field("speedup", dispatched_mib_s / portable_mib_s, 2);
+  json.field("kernels_agree", agree);
+  bench::print_table(
+      "Single-stream SHA-256 (256 KiB object)",
+      {{"kernel", "MiB/s"},
+       {"portable", bench::fmt(portable_mib_s)},
+       {std::string(crypto::sha256_kernel_name()) + " (dispatched)",
+        bench::fmt(dispatched_mib_s)}});
   json.print();
 }
 
@@ -609,6 +670,7 @@ void print_crypto_counters() {
 int main(int argc, char** argv) {
   print_merkle_speedup();
   print_batch_leaf_speedup();
+  print_sha256_single();
   print_proof_serving_speedup();
   print_rsa_fast_speedup();
   print_accel_sweep();

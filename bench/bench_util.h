@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "net/network.h"
 #include "pki/identity.h"
 
@@ -216,6 +217,7 @@ inline void emit_process_meta(const std::string& bench_name) {
       .field("shards", static_cast<std::uint64_t>(options.shards))
       .field("workers", static_cast<std::uint64_t>(options.workers))
       .field("timer_wheel", options.use_timer_wheel)
+      .field("sha256_kernel", crypto::sha256_kernel_name())
       .field("hardware_cores",
              static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
       .field("peak_rss_kb", peak_rss_kb())

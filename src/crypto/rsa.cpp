@@ -104,6 +104,10 @@ RsaKeyPair rsa_generate(std::size_t bits, Drbg& rng) {
     RsaKeyPair pair;
     pair.priv = RsaPrivateKey{n, e, d, p, q};
     pair.pub = RsaPublicKey{n, e};
+    // Built now, so every copy of the pair shares them instead of each
+    // copy rebuilding them on its first operation.
+    static_cast<void>(pair.priv.crt_context());
+    static_cast<void>(pair.pub.mont_context());
     return pair;
   }
 }
@@ -230,7 +234,8 @@ Bytes oaep_wrap(const RsaPublicKey& pub, BytesView key_material, Drbg& rng) {
   common::append(em, masked_db);
 
   const BigInt m = BigInt::from_bytes(em);
-  const BigInt c = m.mod_pow(pub.e, pub.n);
+  const std::shared_ptr<const Montgomery> ctx = pub.mont_context();
+  const BigInt c = ctx != nullptr ? ctx->pow(m, pub.e) : m.mod_pow(pub.e, pub.n);
   return c.to_bytes(k);
 }
 

@@ -3,8 +3,17 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "crypto/sha256_kernels.h"
 
 namespace tpnr::crypto {
+
+#if TPNR_HAVE_SHA256_SHANI
+namespace detail {
+// Defined in sha256_shani.cpp, compiled with -msha -msse4.1.
+void sha256_blocks_shani(std::uint32_t state[8], const std::uint8_t* blocks,
+                         std::size_t nblocks) noexcept;
+}  // namespace detail
+#endif
 
 namespace {
 
@@ -59,47 +68,76 @@ void Sha256Core::reset() {
   buffer_.fill(0);
 }
 
-void Sha256Core::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+void detail::sha256_blocks_portable(std::uint32_t state[8],
+                                    const std::uint8_t* blocks,
+                                    std::size_t nblocks) noexcept {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[static_cast<std::size_t>(i)] +
-                             w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                  e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch +
+                               kK[static_cast<std::size_t>(i)] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
+detail::Sha256BlockFn detail::sha256_shani_kernel() noexcept {
+#if TPNR_HAVE_SHA256_SHANI
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    return &sha256_blocks_shani;
+  }
+#endif
+  return nullptr;
+}
+
+detail::Sha256BlockFn detail::sha256_dispatched_kernel() noexcept {
+  static const Sha256BlockFn kernel = [] {
+    const Sha256BlockFn shani = sha256_shani_kernel();
+    return shani != nullptr ? shani : &sha256_blocks_portable;
+  }();
+  return kernel;
+}
+
+const char* sha256_kernel_name() noexcept {
+  return detail::sha256_shani_kernel() != nullptr ? "sha_ni" : "portable";
+}
+
+Sha256Core::Sha256Core() noexcept
+    : blocks_(detail::sha256_dispatched_kernel()) {}
+
 void Sha256Core::update(BytesView data) {
+  if (data.empty()) return;  // an empty view may carry a null pointer
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -108,13 +146,15 @@ void Sha256Core::update(BytesView data) {
     buffered_ += take;
     offset += take;
     if (buffered_ == 64) {
-      process_block(buffer_.data());
+      blocks_(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block left goes to the kernel in one call.
+  const std::size_t whole = (data.size() - offset) / 64;
+  if (whole > 0) {
+    blocks_(state_.data(), data.data() + offset, whole);
+    offset += whole * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);

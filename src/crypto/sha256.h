@@ -1,8 +1,14 @@
 // SHA-256 and SHA-224 (FIPS 180-4). SHA-256 is the workhorse of the NR
 // protocol: evidence hashes and Azure SharedKey HMAC both run on it.
+//
+// The compression function is a block kernel chosen once per process: the
+// SHA-NI kernel where the CPU has the x86 SHA extensions, the portable
+// rounds everywhere else (crypto/sha256_kernels.h). Digests never depend on
+// which one ran.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/hash.h"
@@ -17,6 +23,18 @@ struct Sha256Midstate {
   std::array<std::uint32_t, 8> state{};
   std::uint64_t total_bytes = 0;  ///< must be a multiple of 64
 };
+
+namespace detail {
+/// A block kernel: compresses `nblocks` consecutive 64-byte blocks into
+/// `state`.
+using Sha256BlockFn = void (*)(std::uint32_t state[8],
+                               const std::uint8_t* blocks,
+                               std::size_t nblocks) noexcept;
+}  // namespace detail
+
+/// "sha_ni" or "portable": the block kernel this process's SHA-256 and
+/// SHA-224 run on.
+[[nodiscard]] const char* sha256_kernel_name() noexcept;
 
 /// Common core: SHA-224 differs only in IV and truncation.
 class Sha256Core : public Hash {
@@ -36,12 +54,18 @@ class Sha256Core : public Hash {
   void restore(const Sha256Midstate& mid);
 
  protected:
+  /// Runs on the process's dispatched kernel.
+  Sha256Core() noexcept;
+  /// Runs on `blocks` (the portable oracle, or a kernel under test).
+  explicit Sha256Core(detail::Sha256BlockFn blocks) noexcept
+      : blocks_(blocks) {}
+
   /// IV per FIPS 180-4 §5.3.2 / §5.3.3.
   [[nodiscard]] virtual std::array<std::uint32_t, 8> iv() const noexcept = 0;
 
- private:
-  void process_block(const std::uint8_t* block) noexcept;
+  detail::Sha256BlockFn blocks_;
 
+ private:
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;
@@ -51,12 +75,16 @@ class Sha256Core : public Hash {
 class Sha256 final : public Sha256Core {
  public:
   Sha256() noexcept { reset(); }
+  explicit Sha256(detail::Sha256BlockFn blocks) noexcept
+      : Sha256Core(blocks) {
+    reset();
+  }
   [[nodiscard]] std::size_t digest_size() const noexcept override { return 32; }
   [[nodiscard]] HashKind kind() const noexcept override {
     return HashKind::kSha256;
   }
   [[nodiscard]] std::unique_ptr<Hash> fresh() const override {
-    return std::make_unique<Sha256>();
+    return std::make_unique<Sha256>(blocks_);
   }
 
  protected:
@@ -69,12 +97,16 @@ class Sha256 final : public Sha256Core {
 class Sha224 final : public Sha256Core {
  public:
   Sha224() noexcept { reset(); }
+  explicit Sha224(detail::Sha256BlockFn blocks) noexcept
+      : Sha256Core(blocks) {
+    reset();
+  }
   [[nodiscard]] std::size_t digest_size() const noexcept override { return 28; }
   [[nodiscard]] HashKind kind() const noexcept override {
     return HashKind::kSha224;
   }
   [[nodiscard]] std::unique_ptr<Hash> fresh() const override {
-    return std::make_unique<Sha224>();
+    return std::make_unique<Sha224>(blocks_);
   }
 
  protected:

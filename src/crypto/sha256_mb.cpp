@@ -10,6 +10,7 @@
 #include "common/error.h"
 #include "crypto/counters.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 
 // The portable lane engine: 4 lanes wide, baseline ISA (the compiler
 // legalizes the 16-byte vectors to SSE2 on x86-64, NEON on aarch64, ...).
@@ -67,8 +68,10 @@ void materialize(std::uint8_t* out, std::size_t padded_len,
   }
 }
 
-Bytes scalar_digest(const TaggedMessage& m) {
-  Sha256 h;
+/// One message through a single-stream kernel: the dispatched one for a
+/// batch's leftovers, the portable rounds when kScalar is pinned.
+Bytes scalar_digest(const TaggedMessage& m, detail::Sha256BlockFn kernel) {
+  Sha256 h(kernel);
   if (m.tag >= 0) {
     const std::uint8_t tag = static_cast<std::uint8_t>(m.tag);
     h.update(BytesView(&tag, 1));
@@ -166,9 +169,14 @@ std::vector<Bytes> many_core(Sha256MbEngine engine,
   if (eng.lanes == 0) {
     throw common::CryptoError("sha256_many: engine not available");
   }
+  // kScalar is the oracle and the lanes' baseline: it keeps the portable
+  // rounds. Every other engine hands its singletons to the dispatched core.
+  const detail::Sha256BlockFn single =
+      engine == Sha256MbEngine::kScalar ? &detail::sha256_blocks_portable
+                                        : detail::sha256_dispatched_kernel();
   if (eng.fn == nullptr || msgs.size() < 2) {
     for (std::size_t i = 0; i < msgs.size(); ++i) {
-      out[i] = scalar_digest(msgs[i]);
+      out[i] = scalar_digest(msgs[i], single);
     }
     return out;
   }
@@ -181,7 +189,7 @@ std::vector<Bytes> many_core(Sha256MbEngine engine,
   }
   for (const auto& [nblocks, group] : buckets) {
     if (group.size() == 1) {
-      out[group[0]] = scalar_digest(msgs[group[0]]);
+      out[group[0]] = scalar_digest(msgs[group[0]], single);
     } else {
       hash_group(eng, msgs, group, nblocks, out);
     }

@@ -369,5 +369,21 @@ TEST_F(RsaFastPathTest, CachedMontContextIsSharedAndCorrect) {
             0);
 }
 
+TEST(RsaKeyContexts, CopiesOfAFreshPairShareTheContextsBuiltAtGeneration) {
+  Drbg rng(std::uint64_t{2027});
+  const RsaKeyPair original = rsa_generate(784, rng);  // OAEP-wrap minimum
+  const RsaKeyPair copy = original;  // copied before any operation
+  ASSERT_NE(copy.priv.crt_context(), nullptr);
+  ASSERT_NE(copy.pub.mont_context(), nullptr);
+  EXPECT_EQ(copy.priv.crt_context().get(), original.priv.crt_context().get());
+  EXPECT_EQ(copy.pub.mont_context().get(), original.pub.mont_context().get());
+
+  const Bytes message = to_bytes("shared contexts");
+  const Bytes sig = rsa_sign(copy.priv, HashKind::kSha256, message);
+  EXPECT_TRUE(rsa_verify(original.pub, HashKind::kSha256, message, sig));
+  EXPECT_EQ(rsa_decrypt(original.priv, rsa_encrypt(copy.pub, message, rng)),
+            message);
+}
+
 }  // namespace
 }  // namespace tpnr::crypto

@@ -71,6 +71,9 @@ GATES = {
         # exponentiation
         Gate({"bench": "crypto_rsa_fast"}, "verify_meets_4x", "==", True),
         Gate({"bench": "crypto_rsa_fast"}, "sign_meets_2x", "==", True),
+        # the dispatched single-stream kernel hashes exactly like the
+        # portable rounds
+        Gate({"bench": "crypto_sha256_single"}, "kernels_agree", "==", True),
     ],
     "dyn_audit": [
         present("dyn_audit"),
